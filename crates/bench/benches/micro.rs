@@ -1,9 +1,12 @@
 //! Criterion micro-benchmarks of the primitives: uncontended section
-//! overhead per scheme, raw HTM transaction cost, SNZI operations, and the
-//! duration estimator.
+//! overhead per scheme, raw HTM transaction cost (one access and a
+//! TPC-C-sized footprint, alone and next to a second thread), SNZI
+//! operations, and the duration estimator.
+
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use htm_sim::{CapacityProfile, Htm, HtmConfig, TxKind};
+use htm_sim::{CapacityProfile, Htm, HtmConfig, Region, Tx, TxKind, TxResult};
 use snzi::Snzi;
 use sprwl::SpRwl;
 use sprwl_locks::{
@@ -38,6 +41,55 @@ fn bench_raw_htm(c: &mut Criterion) {
     c.bench_function("htm/untracked-load", |b| b.iter(|| d.load(cell)));
     c.bench_function("htm/untracked-store", |b| b.iter(|| d.store(cell, 1)));
     c.bench_function("htm/peek", |b| b.iter(|| h.memory().peek(cell)));
+}
+
+/// A TPC-C-sized transaction body: 40 tracked reads of 40 distinct lines,
+/// with a read-modify-write on every fourth (10 writes).
+fn txn_40r10w(tx: &mut Tx<'_>, region: Region) -> TxResult<()> {
+    for line in 0..40 {
+        let cell = region.cell(line * 8);
+        let v = tx.read(cell)?;
+        if line % 4 == 0 {
+            tx.write(cell, v + 1)?;
+        }
+    }
+    Ok(())
+}
+
+/// Per-access cost at a real footprint on the POWER8 profile, then the same
+/// while a partner thread runs the same shape on its own lines for the whole
+/// measurement: the two share no line, so any slowdown is simulator
+/// contention, not conflicts.
+fn bench_footprint(c: &mut Criterion) {
+    let h = Htm::new(
+        HtmConfig {
+            capacity: CapacityProfile::POWER8_SIM,
+            max_threads: 2,
+            ..HtmConfig::default()
+        },
+        1024,
+    );
+    let mine = h.memory().alloc_line_aligned(40 * 8);
+    let partners = h.memory().alloc_line_aligned(40 * 8);
+    let mut ctx = h.thread(0);
+    c.bench_function("htm/txn-40r10w", |b| {
+        b.iter(|| ctx.txn(TxKind::Htm, |tx| txn_40r10w(tx, mine)).unwrap())
+    });
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut partner = h.thread(1);
+            while !stop.load(Ordering::Relaxed) {
+                partner
+                    .txn(TxKind::Htm, |tx| txn_40r10w(tx, partners))
+                    .unwrap();
+            }
+        });
+        c.bench_function("htm/txn-40r10w-2thr", |b| {
+            b.iter(|| ctx.txn(TxKind::Htm, |tx| txn_40r10w(tx, mine)).unwrap())
+        });
+        stop.store(true, Ordering::Relaxed);
+    });
 }
 
 fn bench_sections(c: &mut Criterion) {
@@ -151,6 +203,6 @@ fn bench_estimator(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_millis(400)).warm_up_time(std::time::Duration::from_millis(150));
-    targets = bench_raw_htm, bench_sections, bench_snzi, bench_trace_overhead, bench_estimator
+    targets = bench_raw_htm, bench_footprint, bench_sections, bench_snzi, bench_trace_overhead, bench_estimator
 }
 criterion_main!(benches);

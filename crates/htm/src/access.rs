@@ -7,9 +7,10 @@
 //! uninstrumented for readers.
 
 use crate::directory::UntrackedKind;
-use crate::memory::CellId;
+use crate::memory::{CellId, LineId};
 use crate::sched::YieldKind;
 use crate::tx::{Htm, Tx, TxResult};
+use crate::util::{IdMap, IdSet};
 
 /// How an accessor touches memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -183,8 +184,8 @@ impl<'h> Direct<'h> {
 pub struct Suspended<'a> {
     pub(crate) htm: &'a Htm,
     pub(crate) me: crate::slots::Owner,
-    pub(crate) write_lines: &'a std::collections::HashSet<crate::memory::LineId>,
-    pub(crate) write_buf: &'a std::collections::HashMap<u32, u64>,
+    pub(crate) write_lines: &'a IdSet<LineId>,
+    pub(crate) write_buf: &'a IdMap<u32, u64>,
 }
 
 impl Suspended<'_> {

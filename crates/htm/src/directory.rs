@@ -14,14 +14,13 @@
 //!   write-buffer flush finishes, which makes single-cell untracked accesses
 //!   atomic with respect to commits.
 
-use std::collections::HashMap;
-
 use parking_lot::Mutex;
 
 use crate::config::ConflictPolicy;
 use crate::memory::LineId;
 use crate::slots::{DoomOutcome, Owner, TxTable};
 use crate::tx::Abort;
+use crate::util::{fib_hash, IdMap};
 
 #[derive(Debug, Default)]
 struct LineEntry {
@@ -35,11 +34,20 @@ impl LineEntry {
     }
 }
 
-const SHARD_COUNT: usize = 64;
+/// log2 of the shard count. Of 64, 256 and 1024 shards, 256 is the most
+/// that keep TPC-C's peak RSS within 2 % of 64's: every shard a run touches
+/// keeps its small hash table, so 1024 cost about 5 % more RSS than 256
+/// (DESIGN.md §2).
+const SHARD_BITS: u32 = 8;
+const SHARD_COUNT: usize = 1 << SHARD_BITS;
 
+/// One directory shard, exactly one 64-byte cache line: the lock, the map
+/// header and the occupancy counter travel together, and no two shards
+/// share a line, so threads working different shards never false-share.
 #[derive(Debug, Default)]
+#[repr(align(64))]
 struct Shard {
-    map: Mutex<HashMap<u32, LineEntry>>,
+    map: Mutex<IdMap<u32, LineEntry>>,
     /// Number of live entries, maintained under the mutex. Lets untracked
     /// *reads* skip the lock entirely when no transaction holds any line
     /// of the shard — mirroring real hardware, where uninstrumented loads
@@ -53,7 +61,7 @@ pub(crate) struct Directory {
 }
 
 struct ShardGuard<'a> {
-    map: parking_lot::MutexGuard<'a, HashMap<u32, LineEntry>>,
+    map: parking_lot::MutexGuard<'a, IdMap<u32, LineEntry>>,
     occupancy: &'a std::sync::atomic::AtomicUsize,
 }
 
@@ -65,7 +73,7 @@ impl Drop for ShardGuard<'_> {
 }
 
 impl std::ops::Deref for ShardGuard<'_> {
-    type Target = HashMap<u32, LineEntry>;
+    type Target = IdMap<u32, LineEntry>;
 
     fn deref(&self) -> &Self::Target {
         &self.map
@@ -96,10 +104,7 @@ impl Directory {
 
     #[inline]
     fn shard(&self, line: LineId) -> &Shard {
-        // Lines are allocated sequentially; a multiplicative hash spreads
-        // neighbouring lines across shards.
-        let h = (line.0 as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        &self.shards[(h >> 58) as usize % SHARD_COUNT]
+        &self.shards[shard_index(line)]
     }
 
     /// Locks a shard; the guard refreshes the occupancy counter on drop.
@@ -272,8 +277,8 @@ impl Directory {
     }
 
     /// Conflict-resolution-only variant of [`Self::untracked_op`].
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn untracked_access(
+    #[cfg(test)]
+    fn untracked_access(
         &self,
         line: LineId,
         kind: UntrackedKind,
@@ -320,6 +325,15 @@ impl Directory {
     pub(crate) fn live_lines(&self) -> usize {
         self.shards.iter().map(|s| s.map.lock().len()).sum()
     }
+}
+
+/// The shard holding `line`: the top [`SHARD_BITS`] of its Fibonacci hash,
+/// so sequentially allocated neighbours land on different shards. The
+/// in-shard maps hash with [`crate::util::IdHasher`], which keys off lower
+/// bits of the same product.
+#[inline]
+fn shard_index(line: LineId) -> usize {
+    (fib_hash(u64::from(line.0)) >> (64 - SHARD_BITS)) as usize
 }
 
 impl TxTable {
@@ -544,6 +558,60 @@ mod tests {
             .unwrap();
         assert!(!table.is_doomed(me));
         assert_eq!(dir.live_lines(), 1);
+    }
+
+    #[test]
+    fn shard_is_exactly_one_cache_line() {
+        assert_eq!(std::mem::size_of::<Shard>(), 64);
+        assert_eq!(std::mem::align_of::<Shard>(), 64);
+    }
+
+    #[test]
+    fn lines_sharing_a_shard_spread_over_hash_tags() {
+        // hashbrown filters probes on the top 7 hash bits; if those repeated
+        // the shard-selecting bits, one shard's lines would all share a tag.
+        use std::hash::BuildHasher;
+        let build = std::hash::BuildHasherDefault::<crate::util::IdHasher>::default();
+        let lines: Vec<u32> = (0..1 << 16)
+            .filter(|&l| shard_index(LineId(l)) == 3)
+            .collect();
+        assert!(lines.len() > 128, "shard 3 got {} lines", lines.len());
+        let tags: std::collections::HashSet<u64> =
+            lines.iter().map(|&l| build.hash_one(l) >> 57).collect();
+        assert!(tags.len() > 100, "only {} distinct tags", tags.len());
+    }
+
+    #[test]
+    fn ten_thousand_line_transaction_commits_and_releases_every_line() {
+        use crate::{CapacityProfile, Htm, HtmConfig, TxKind};
+        const LINES: usize = 10_000;
+        let htm = Htm::new(
+            HtmConfig {
+                capacity: CapacityProfile::UNBOUNDED,
+                max_threads: 1,
+                ..HtmConfig::default()
+            },
+            (LINES + 1) * 8,
+        );
+        let region = htm.memory().alloc_line_aligned(LINES * 8);
+        let mut ctx = htm.thread(0);
+        ctx.txn(TxKind::Htm, |tx| {
+            for l in 0..LINES {
+                let v = tx.read(region.cell(l * 8))?;
+                if l % 2 == 0 {
+                    tx.write(region.cell(l * 8 + 1), v + 1)?;
+                }
+            }
+            assert_eq!(
+                (tx.read_footprint(), tx.write_footprint()),
+                (LINES, LINES / 2)
+            );
+            assert_eq!(htm.dir_ref().live_lines(), LINES);
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(htm.dir_ref().live_lines(), 0);
+        assert_eq!(htm.direct(0).load(region.cell(LINES * 8 - 15)), 1);
     }
 
     #[test]

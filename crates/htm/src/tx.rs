@@ -1,7 +1,6 @@
 //! The transaction engine: [`Htm`] runtime, per-thread contexts and the
 //! [`Tx`] handle passed to transactional closures.
 
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use crate::access::{Direct, Suspended};
@@ -14,7 +13,7 @@ use crate::slots::{
     Owner, TxTable, ST_ACTIVE, ST_COMMITTED, ST_COMMITTING, ST_DOOMED, ST_INACTIVE, ST_SUSPENDED,
 };
 use crate::stats::ThreadStats;
-use crate::util::XorShift64;
+use crate::util::{IdMap, IdSet, XorShift64};
 
 /// Why a transaction attempt failed.
 ///
@@ -199,6 +198,7 @@ impl Htm {
             rng: XorShift64::new(self.cfg.seed ^ ((tid as u64 + 1) << 17)),
             stats: ThreadStats::new(),
             last_conflict: None,
+            footprint: Footprint::default(),
         }
     }
 
@@ -252,6 +252,28 @@ pub struct ThreadCtx<'h> {
     /// Attribution of the most recent [`Abort::Conflict`], if the doomer
     /// left one. Reset at every transaction begin.
     last_conflict: Option<ConflictInfo>,
+    /// The current attempt's read set, write set and write buffer, reused
+    /// across attempts so a transaction allocates only when it outgrows
+    /// every earlier one.
+    footprint: Footprint,
+}
+
+/// What one transaction attempt has tracked: the lines it read and wrote,
+/// and its buffered stores (cell index → value).
+#[derive(Debug, Default)]
+struct Footprint {
+    read_lines: IdSet<LineId>,
+    write_lines: IdSet<LineId>,
+    write_buf: IdMap<u32, u64>,
+}
+
+impl Footprint {
+    /// Empties all three collections, keeping their capacity.
+    fn clear(&mut self) {
+        self.read_lines.clear();
+        self.write_lines.clear();
+        self.write_buf.clear();
+    }
 }
 
 impl Drop for ThreadCtx<'_> {
@@ -325,23 +347,20 @@ impl<'h> ThreadCtx<'h> {
         self.stats.on_begin(kind);
         self.last_conflict = None;
 
-        let mut tx = Tx {
+        self.footprint.clear();
+        let result = f(&mut Tx {
             htm: self.htm,
             me,
             kind,
-            read_lines: HashSet::new(),
-            write_lines: HashSet::new(),
-            write_buf: HashMap::new(),
+            fp: &mut self.footprint,
             rng: &mut self.rng,
-        };
-        let result = f(&mut tx);
-        let Tx {
+        });
+
+        let Footprint {
             read_lines,
             write_lines,
             write_buf,
-            ..
-        } = tx;
-
+        } = &self.footprint;
         let table = &self.htm.table;
         let outcome = match result {
             Ok(value) => {
@@ -349,7 +368,7 @@ impl<'h> ThreadCtx<'h> {
                     // Commit point passed: flush buffered writes, then
                     // advertise `Committed` so untracked accesses waiting on
                     // the flush can proceed, then clean the directory.
-                    for (&cell, &val) in &write_buf {
+                    for (&cell, &val) in write_buf {
                         self.htm.mem.raw_store(CellId(cell), val);
                     }
                     table.set(me.tid, me.epoch, ST_COMMITTED);
@@ -402,9 +421,7 @@ pub struct Tx<'a> {
     htm: &'a Htm,
     me: Owner,
     kind: TxKind,
-    read_lines: HashSet<LineId>,
-    write_lines: HashSet<LineId>,
-    write_buf: HashMap<u32, u64>,
+    fp: &'a mut Footprint,
     rng: &'a mut XorShift64,
 }
 
@@ -439,12 +456,12 @@ impl Tx<'_> {
 
     /// Distinct cache lines currently in the read-set (ROTs always report 0).
     pub fn read_footprint(&self) -> usize {
-        self.read_lines.len()
+        self.fp.read_lines.len()
     }
 
     /// Distinct cache lines currently in the write-set.
     pub fn write_footprint(&self) -> usize {
-        self.write_lines.len()
+        self.fp.write_lines.len()
     }
 
     /// Transactionally reads a cell.
@@ -461,18 +478,18 @@ impl Tx<'_> {
     /// under failure injection.
     pub fn read(&mut self, cell: CellId) -> TxResult<u64> {
         self.check_alive()?;
-        if let Some(&v) = self.write_buf.get(&cell.0) {
+        if let Some(&v) = self.fp.write_buf.get(&cell.0) {
             return Ok(v);
         }
         let line = self.htm.mem.line_of(cell);
         match self.kind {
             TxKind::Htm => {
-                if !self.read_lines.contains(&line) && !self.write_lines.contains(&line) {
+                if !self.fp.read_lines.contains(&line) && !self.fp.write_lines.contains(&line) {
                     self.htm
                         .dir
                         .acquire_read(line, self.me, &self.htm.table, self.policy())?;
-                    self.read_lines.insert(line);
-                    if self.read_lines.len() > self.capacity().read_lines {
+                    self.fp.read_lines.insert(line);
+                    if self.fp.read_lines.len() > self.capacity().read_lines {
                         return Err(Abort::CapacityRead);
                     }
                 }
@@ -482,7 +499,7 @@ impl Tx<'_> {
                 // POWER8 ROT reads are untracked; they still participate in
                 // coherence, so they conflict with other transactions'
                 // speculative writes.
-                if self.write_lines.contains(&line) {
+                if self.fp.write_lines.contains(&line) {
                     return Ok(self.htm.mem.raw_load(cell));
                 }
                 let htm = self.htm;
@@ -507,20 +524,20 @@ impl Tx<'_> {
     pub fn write(&mut self, cell: CellId, val: u64) -> TxResult<()> {
         self.check_alive()?;
         let line = self.htm.mem.line_of(cell);
-        if !self.write_lines.contains(&line) {
+        if !self.fp.write_lines.contains(&line) {
             self.htm
                 .dir
                 .acquire_write(line, self.me, &self.htm.table, self.policy())?;
-            self.write_lines.insert(line);
+            self.fp.write_lines.insert(line);
             let cap = match self.kind {
                 TxKind::Htm => self.capacity().write_lines,
                 TxKind::Rot => self.capacity().rot_write_lines,
             };
-            if self.write_lines.len() > cap {
+            if self.fp.write_lines.len() > cap {
                 return Err(Abort::CapacityWrite);
             }
         }
-        self.write_buf.insert(cell.0, val);
+        self.fp.write_buf.insert(cell.0, val);
         Ok(())
     }
 
@@ -563,8 +580,8 @@ impl Tx<'_> {
         let s = Suspended {
             htm: self.htm,
             me: self.me,
-            write_lines: &self.write_lines,
-            write_buf: &self.write_buf,
+            write_lines: &self.fp.write_lines,
+            write_buf: &self.fp.write_buf,
         };
         let r = f(&s);
         if !table.try_transition(self.me.tid, self.me.epoch, ST_SUSPENDED, ST_ACTIVE) {

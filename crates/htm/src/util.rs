@@ -1,5 +1,52 @@
 //! Small internal utilities.
 
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Fibonacci hashing: `index × 2⁶⁴/φ`. The top bits of the product are
+/// well mixed even for sequential indices, which is how lines and cells are
+/// allocated.
+#[inline]
+pub(crate) fn fib_hash(index: u64) -> u64 {
+    index.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
+/// A cheap hasher for the crate's own `u32` indices (lines, cells), used by
+/// the directory shards and the transaction footprints in place of SipHash.
+///
+/// `finish` rotates the Fibonacci product by 32 bits, so hashbrown's bucket
+/// index (the low bits) and its 7-bit control tag (the top bits) both come
+/// from product bits *below* the top byte that picks a directory shard.
+/// Without the rotation every line in a shard would carry the same tag and
+/// the tag filter would match every probed slot.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.0 = fib_hash(self.0 ^ u64::from(i));
+    }
+
+    /// Required by `Hasher`; the crate's maps key only on `u32` indices, so
+    /// this byte-wise fold is never on a hot path.
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(u32::from(b));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(32)
+    }
+}
+
+/// A map keyed by crate indices, hashed with [`IdHasher`].
+pub(crate) type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+/// A set of crate indices, hashed with [`IdHasher`].
+pub(crate) type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
+
 /// Pads (and aligns) a value to a 64-byte cache line to avoid false sharing
 /// between per-thread slots in hot arrays.
 #[derive(Debug, Default)]

@@ -217,29 +217,42 @@ fn writer_doomed_by_untracked_store_never_commits_its_buffer() {
 
 #[test]
 fn many_threads_alloc_and_use_disjoint_regions() {
+    // Each thread owns whole lines, so threads meet only on directory
+    // shards, never on a line: no multi-line transaction may ever abort on
+    // a conflict.
     const THREADS: usize = 8;
+    const LINES: usize = 6;
+    const ROUNDS: u64 = 1_000;
     let htm = Htm::new(
         HtmConfig {
             capacity: CapacityProfile::UNBOUNDED,
             max_threads: THREADS,
             ..HtmConfig::default()
         },
-        THREADS * 64,
+        THREADS * (LINES + 1) * 8,
     );
     std::thread::scope(|s| {
         for tid in 0..THREADS {
             let htm = &htm;
             s.spawn(move || {
-                let region = htm.memory().alloc(16);
+                let region = htm.memory().alloc_line_aligned(LINES * 8);
                 let mut ctx = htm.thread(tid);
-                for i in 0..16 {
+                for _ in 0..ROUNDS {
                     retry(&mut ctx, TxKind::Htm, |tx| {
-                        tx.write(region.cell(i), (tid * 100 + i) as u64)
+                        for l in 0..LINES {
+                            let v = tx.read(region.cell(l * 8))?;
+                            tx.write(region.cell(l * 8), v + 1)?;
+                            tx.write(region.cell(l * 8 + 7), (tid * 100 + l) as u64)?;
+                        }
+                        Ok(())
                     });
                 }
+                assert_eq!(ctx.stats.aborts_conflict, 0, "thread {tid}");
+                assert_eq!(ctx.stats.commits(), ROUNDS);
                 let d = htm.direct(tid);
-                for i in 0..16 {
-                    assert_eq!(d.load(region.cell(i)), (tid * 100 + i) as u64);
+                for l in 0..LINES {
+                    assert_eq!(d.load(region.cell(l * 8)), ROUNDS);
+                    assert_eq!(d.load(region.cell(l * 8 + 7)), (tid * 100 + l) as u64);
                 }
             });
         }

@@ -463,3 +463,71 @@ fn non_conflict_aborts_carry_no_attribution() {
     let _ = ctx.txn(TxKind::Htm, |tx| tx.abort::<()>(7));
     assert_eq!(ctx.last_conflict(), None);
 }
+
+/// One attempt on `ctx` that reports its footprints at start and X's value,
+/// then reads every cell of `lines` (distinct lines, none touched before)
+/// and commits X + 1.
+fn fresh_attempt(
+    ctx: &mut htm_sim::ThreadCtx<'_>,
+    x: htm_sim::CellId,
+    lines: &[htm_sim::CellId],
+) -> htm_sim::TxResult<((usize, usize), u64)> {
+    ctx.txn(TxKind::Htm, |tx| {
+        let at_start = (tx.read_footprint(), tx.write_footprint());
+        let seen = tx.read(x)?;
+        for &c in lines {
+            tx.read(c)?;
+        }
+        tx.write(x, seen + 1)?;
+        Ok((at_start, seen))
+    })
+}
+
+#[test]
+fn footprint_buffers_are_emptied_between_attempts() {
+    // A context reuses one read set, write set and write buffer for all its
+    // attempts. A missed clear leaks a buffered value into the next attempt
+    // or spends its read budget on lines it never read.
+    let htm = htm_with(CapacityProfile::TINY);
+    let budget = CapacityProfile::TINY.read_lines;
+    let r = htm.memory().alloc_line_aligned(8 * (1 + 3 * (budget + 1)));
+    let x = r.cell(0);
+    // Attempt `a` reads its own lines, after X's line and earlier attempts'.
+    let lines = |a: usize, n: usize| -> Vec<htm_sim::CellId> {
+        (0..n)
+            .map(|i| r.cell(8 * (1 + a * (budget + 1) + i)))
+            .collect()
+    };
+    let d = htm.direct(0);
+    d.store(x, 7);
+    let mut ctx = htm.thread(0);
+
+    // Buffer X = 99, then read past the budget.
+    let err = ctx
+        .txn(TxKind::Htm, |tx| {
+            tx.write(x, 99)?;
+            for c in lines(0, budget + 1) {
+                tx.read(c)?;
+            }
+            Ok(())
+        })
+        .unwrap_err();
+    assert_eq!(err, Abort::CapacityRead);
+
+    // After the abort: empty footprints, X's committed value, and X's line
+    // plus `budget - 1` new lines fill the budget without a capacity abort.
+    assert_eq!(
+        fresh_attempt(&mut ctx, x, &lines(1, budget - 1)),
+        Ok(((0, 0), 7))
+    );
+    assert_eq!(d.load(x), 8);
+
+    // After a commit: the buffered 8 must not shadow a later store.
+    d.store(x, 20);
+    assert_eq!(
+        fresh_attempt(&mut ctx, x, &lines(2, budget - 1)),
+        Ok(((0, 0), 20))
+    );
+    assert_eq!(d.load(x), 21);
+    assert_eq!(ctx.stats.aborts_capacity_read, 1);
+}

@@ -22,6 +22,10 @@ cargo build --release --offline
 echo "==> tier-1: cargo test -q"
 cargo test -q --offline
 
+echo "==> htm-sim tests at optimized speed (directory and engine concurrency)"
+# The same tests again, interleaving at the speed the benchmarks run.
+cargo test -q --release --offline -p htm-sim
+
 echo "==> torture smoke (full matrix, reduced depth)"
 cargo run -q --release --offline -p sprwl-torture -- --threads 2 --ops 100
 
@@ -86,6 +90,22 @@ rm -rf "$BENCH_SMOKE_DIR"
 mkdir -p "$BENCH_SMOKE_DIR"
 bench_sweep() { cargo run -q --release --offline -p sprwl-bench --bin bench-sweep -- "$@"; }
 bench_compare() { cargo run -q --release --offline -p sprwl-bench --bin bench-compare -- "$@"; }
+# Deterministic documents reproduce bit-exactly, so a regenerated baseline
+# must carry the committed `points` unchanged: a change to det behaviour
+# regenerates its baseline in the same commit. bench-compare runs first in
+# each gate so a mismatch also names the metrics that moved.
+same_points() {
+    python3 - "$1" "$2" <<'EOF'
+import json, sys
+committed, current = (json.load(open(p))["points"] for p in sys.argv[1:3])
+if committed != current:
+    moved = sum(a != b for a, b in zip(committed, current))
+    sys.exit(f"{sys.argv[2]}: {moved} point(s) differ from {sys.argv[1]} "
+             f"({len(current)} vs {len(committed)} points); regenerate the "
+             "baseline if the det behaviour change is intended")
+print(f"points identical to {sys.argv[1]}")
+EOF
+}
 # A small deterministic grid must emit a parsable, summarizable document.
 bench_sweep --det --threads 1,2 --ops 400 --warmup-ops 50 --locks SpRWL,TLE \
     --workloads read-only,hot-key --category smoke --out "$BENCH_SMOKE_DIR" > /dev/null
@@ -196,6 +216,7 @@ bench_sweep --server --shards 2,4 --threads 2,4 --ops 400 --warmup-ops 40 \
 SERVER_CURRENT=$(ls "$BENCH_SMOKE_DIR"/server-current/BENCH_server_*.json)
 bench_compare "$SERVER_BASELINE" "$SERVER_CURRENT" \
     --throughput-drop-pct 40 --abort-rise-pp 25 --p99-rise-pct 400
+same_points "$SERVER_BASELINE" "$SERVER_CURRENT"
 python3 scripts/summarize_bench.py "$SERVER_CURRENT" > /dev/null
 
 echo "==> capacity baseline gate (big-footprint writers: the stretching ladder must keep winning)"
@@ -205,9 +226,11 @@ CAP_BASELINE=$(ls results/BENCH_capacity_*.json | head -n 1)
 bench_sweep --capacity --threads 2 --ops 240 --schedule-seed 7 --seed 42 \
     --out "$BENCH_SMOKE_DIR/capacity-current" > /dev/null
 CAP_CURRENT=$(ls "$BENCH_SMOKE_DIR"/capacity-current/BENCH_capacity_*.json)
-# 1. Drift against the committed baseline (loose: catches collapses).
+# 1. Drift against the committed baseline: loose thresholds, then the
+#    exact-points check.
 bench_compare "$CAP_BASELINE" "$CAP_CURRENT" \
     --throughput-drop-pct 40 --abort-rise-pp 25 --p99-rise-pct 400
+same_points "$CAP_BASELINE" "$CAP_CURRENT"
 # 2. Stretching-on vs stretching-off through bench-compare: relabel the
 #    off arm's points so they pair with the stretch arm's, then require
 #    the ladder not to cost throughput at loose thresholds. The abort
@@ -265,6 +288,7 @@ bench_sweep --det --threads 1,2,4 --ops 1500 --warmup-ops 150 --schedule-seed 7 
 CURRENT=$(ls "$BENCH_SMOKE_DIR"/current/BENCH_sweep_*.json)
 bench_compare "$BASELINE" "$CURRENT" \
     --throughput-drop-pct 40 --abort-rise-pp 25 --p99-rise-pct 400
+same_points "$BASELINE" "$CURRENT"
 python3 scripts/summarize_bench.py "$CURRENT" > /dev/null
 
 echo "CI gate passed."

@@ -1,12 +1,13 @@
 //! Criterion micro-benchmarks of the primitives: uncontended section
 //! overhead per scheme, raw HTM transaction cost (one access and a
-//! TPC-C-sized footprint, alone and next to a second thread), SNZI
-//! operations, and the duration estimator.
+//! TPC-C-sized footprint, alone and next to a second thread), a
+//! Stock-Level-sized untracked scan (alone and next to that second thread),
+//! SNZI operations, and the duration estimator.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use htm_sim::{CapacityProfile, Htm, HtmConfig, Region, Tx, TxKind, TxResult};
+use htm_sim::{CapacityProfile, Direct, Htm, HtmConfig, Region, Tx, TxKind, TxResult};
 use snzi::Snzi;
 use sprwl::SpRwl;
 use sprwl_locks::{
@@ -56,10 +57,21 @@ fn txn_40r10w(tx: &mut Tx<'_>, region: Region) -> TxResult<()> {
     Ok(())
 }
 
+/// About the number of lines an uninstrumented Stock-Level body loads.
+const SCAN_LINES: usize = 320;
+
+/// One untracked load from each of `SCAN_LINES` lines.
+fn untracked_scan(d: &Direct<'_>, region: Region) -> u64 {
+    (0..SCAN_LINES)
+        .map(|line| d.load(region.cell(line * 8)))
+        .sum()
+}
+
 /// Per-access cost at a real footprint on the POWER8 profile, then the same
 /// while a partner thread runs the same shape on its own lines for the whole
 /// measurement: the two share no line, so any slowdown is simulator
-/// contention, not conflicts.
+/// contention, not conflicts. The untracked scan is measured the same two
+/// ways, next to the same partner.
 fn bench_footprint(c: &mut Criterion) {
     let h = Htm::new(
         HtmConfig {
@@ -67,13 +79,18 @@ fn bench_footprint(c: &mut Criterion) {
             max_threads: 2,
             ..HtmConfig::default()
         },
-        1024,
+        4096,
     );
     let mine = h.memory().alloc_line_aligned(40 * 8);
     let partners = h.memory().alloc_line_aligned(40 * 8);
+    let scanned = h.memory().alloc_line_aligned(SCAN_LINES * 8);
     let mut ctx = h.thread(0);
+    let d = ctx.direct();
     c.bench_function("htm/txn-40r10w", |b| {
         b.iter(|| ctx.txn(TxKind::Htm, |tx| txn_40r10w(tx, mine)).unwrap())
+    });
+    c.bench_function("htm/untracked-scan-320", |b| {
+        b.iter(|| untracked_scan(&d, scanned))
     });
     let stop = AtomicBool::new(false);
     std::thread::scope(|s| {
@@ -87,6 +104,9 @@ fn bench_footprint(c: &mut Criterion) {
         });
         c.bench_function("htm/txn-40r10w-2thr", |b| {
             b.iter(|| ctx.txn(TxKind::Htm, |tx| txn_40r10w(tx, mine)).unwrap())
+        });
+        c.bench_function("htm/untracked-scan-320-2thr", |b| {
+            b.iter(|| untracked_scan(&d, scanned))
         });
         stop.store(true, Ordering::Relaxed);
     });

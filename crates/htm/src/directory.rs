@@ -1,5 +1,5 @@
 //! The conflict directory: a sharded map from cache line to the set of
-//! transactions currently holding it.
+//! transactions currently holding it, plus one *held* byte per line.
 //!
 //! This plays the role of the cache-coherence protocol extensions real HTMs
 //! use for conflict detection. Each line entry records at most one
@@ -12,7 +12,13 @@
 //!   the strong-isolation property SpRWL's uninstrumented readers depend on;
 //! * untracked accesses that find the holder mid-commit spin until the
 //!   write-buffer flush finishes, which makes single-cell untracked accesses
-//!   atomic with respect to commits.
+//!   atomic with respect to commits;
+//! * an untracked read of a line that no transaction holds reads the
+//!   line's held byte and nothing else — no shard lock, no shard state —
+//!   as a load of an unheld line costs one load on real HTM.
+
+use std::collections::hash_map::Entry;
+use std::sync::atomic::{AtomicU8, Ordering};
 
 use parking_lot::Mutex;
 
@@ -25,65 +31,122 @@ use crate::util::{fib_hash, IdMap};
 #[derive(Debug, Default)]
 struct LineEntry {
     writer: Option<Owner>,
-    readers: Vec<Owner>,
+    readers: Readers,
 }
 
 impl LineEntry {
     fn is_empty(&self) -> bool {
-        self.writer.is_none() && self.readers.is_empty()
+        self.writer.is_none() && self.readers.as_slice().is_empty()
     }
 }
 
-/// log2 of the shard count. Of 64, 256 and 1024 shards, 256 is the most
-/// that keep TPC-C's peak RSS within 2 % of 64's: every shard a run touches
-/// keeps its small hash table, so 1024 cost about 5 % more RSS than 256
-/// (DESIGN.md §2).
+/// How many transactional readers a line entry stores without allocating.
+const INLINE_READERS: usize = 2;
+
+/// A line's transactional readers, in the order a `Vec` given the same
+/// pushes and removals would keep them (responder-wins blames the first
+/// live one). The first [`INLINE_READERS`] live in the entry itself, so
+/// registering and releasing a read allocate nothing; one more reader
+/// moves them all to a `Vec`, which stays until the entry is removed.
+#[derive(Debug)]
+enum Readers {
+    Inline {
+        len: u8,
+        slots: [Owner; INLINE_READERS],
+    },
+    Spilled(Vec<Owner>),
+}
+
+impl Default for Readers {
+    fn default() -> Self {
+        const NOBODY: Owner = Owner { tid: 0, epoch: 0 };
+        Readers::Inline {
+            len: 0,
+            slots: [NOBODY; INLINE_READERS],
+        }
+    }
+}
+
+impl Readers {
+    fn as_slice(&self) -> &[Owner] {
+        match self {
+            Readers::Inline { len, slots } => &slots[..usize::from(*len)],
+            Readers::Spilled(v) => v,
+        }
+    }
+
+    fn push(&mut self, r: Owner) {
+        match self {
+            Readers::Inline { len, slots } if usize::from(*len) < INLINE_READERS => {
+                slots[usize::from(*len)] = r;
+                *len += 1;
+            }
+            Readers::Inline { slots, .. } => {
+                let mut spilled = Vec::with_capacity(2 * INLINE_READERS);
+                spilled.extend_from_slice(slots);
+                spilled.push(r);
+                *self = Readers::Spilled(spilled);
+            }
+            Readers::Spilled(v) => v.push(r),
+        }
+    }
+
+    /// Removes the reader at `i`, moving the last one into its place
+    /// (`Vec::swap_remove`).
+    fn swap_remove(&mut self, i: usize) {
+        match self {
+            Readers::Inline { len, slots } => {
+                *len -= 1;
+                slots.swap(i, usize::from(*len));
+            }
+            Readers::Spilled(v) => {
+                v.swap_remove(i);
+            }
+        }
+    }
+
+    /// Removes `r` if present, keeping the others in order.
+    fn remove(&mut self, r: Owner) {
+        let Some(i) = self.as_slice().iter().position(|&x| x == r) else {
+            return;
+        };
+        match self {
+            Readers::Inline { len, slots } => {
+                slots.copy_within(i + 1..usize::from(*len), i);
+                *len -= 1;
+            }
+            Readers::Spilled(v) => {
+                v.remove(i);
+            }
+        }
+    }
+}
+
+/// log2 of the shard count. Only tracked accesses, untracked stores,
+/// untracked reads of held lines and releases lock a shard. Of 64, 256 and
+/// 1024 shards, 256 was the most that kept TPC-C's peak RSS within 2 % of
+/// 64's: every shard a run touches keeps its small hash table, so 1024 cost
+/// about 5 % more RSS than 256 (DESIGN.md §2).
 const SHARD_BITS: u32 = 8;
 const SHARD_COUNT: usize = 1 << SHARD_BITS;
 
-/// One directory shard, exactly one 64-byte cache line: the lock, the map
-/// header and the occupancy counter travel together, and no two shards
-/// share a line, so threads working different shards never false-share.
+/// One directory shard, exactly one 64-byte cache line: the lock and the
+/// map header travel together, and no two shards share a line, so threads
+/// working different shards never false-share.
 #[derive(Debug, Default)]
 #[repr(align(64))]
 struct Shard {
     map: Mutex<IdMap<u32, LineEntry>>,
-    /// Number of live entries, maintained under the mutex. Lets untracked
-    /// *reads* skip the lock entirely when no transaction holds any line
-    /// of the shard — mirroring real hardware, where uninstrumented loads
-    /// are free while transactional tracking costs.
-    occupancy: std::sync::atomic::AtomicUsize,
 }
 
 #[derive(Debug)]
 pub(crate) struct Directory {
     shards: Box<[Shard]>,
-}
-
-struct ShardGuard<'a> {
-    map: parking_lot::MutexGuard<'a, IdMap<u32, LineEntry>>,
-    occupancy: &'a std::sync::atomic::AtomicUsize,
-}
-
-impl Drop for ShardGuard<'_> {
-    fn drop(&mut self) {
-        self.occupancy
-            .store(self.map.len(), std::sync::atomic::Ordering::SeqCst);
-    }
-}
-
-impl std::ops::Deref for ShardGuard<'_> {
-    type Target = IdMap<u32, LineEntry>;
-
-    fn deref(&self) -> &Self::Target {
-        &self.map
-    }
-}
-
-impl std::ops::DerefMut for ShardGuard<'_> {
-    fn deref_mut(&mut self) -> &mut Self::Target {
-        &mut self.map
-    }
+    /// One byte per simulated line: 1 while the line has a map entry, 0
+    /// otherwise. Stored (SeqCst, under the line's shard lock) only when
+    /// an entry is created or removed. Untracked reads of a line whose
+    /// byte is 0 skip the shard entirely.
+    held: Box<[AtomicU8]>,
 }
 
 /// How an untracked (non-transactional) access behaves.
@@ -94,27 +157,43 @@ pub(crate) enum UntrackedKind {
 }
 
 impl Directory {
-    pub(crate) fn new() -> Self {
+    /// A directory for a memory of `lines` cache lines.
+    pub(crate) fn new(lines: usize) -> Self {
         let mut shards = Vec::with_capacity(SHARD_COUNT);
         shards.resize_with(SHARD_COUNT, Shard::default);
         Self {
             shards: shards.into_boxed_slice(),
+            held: (0..lines).map(|_| AtomicU8::new(0)).collect(),
         }
     }
 
     #[inline]
-    fn shard(&self, line: LineId) -> &Shard {
-        &self.shards[shard_index(line)]
+    fn lock_shard(&self, line: LineId) -> parking_lot::MutexGuard<'_, IdMap<u32, LineEntry>> {
+        self.shards[shard_index(line)].map.lock()
     }
 
-    /// Locks a shard; the guard refreshes the occupancy counter on drop.
     #[inline]
-    fn lock_shard(&self, line: LineId) -> ShardGuard<'_> {
-        let shard = self.shard(line);
-        ShardGuard {
-            map: shard.map.lock(),
-            occupancy: &shard.occupancy,
+    fn held(&self, line: LineId) -> &AtomicU8 {
+        &self.held[line.0 as usize]
+    }
+
+    /// `line`'s entry in its (locked) shard `map`, created — and the line's
+    /// held byte set — if the line has none.
+    fn entry<'m>(&self, map: &'m mut IdMap<u32, LineEntry>, line: LineId) -> &'m mut LineEntry {
+        match map.entry(line.0) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                self.held(line).store(1, Ordering::SeqCst);
+                e.insert(LineEntry::default())
+            }
         }
+    }
+
+    /// Removes `line`'s emptied entry from its (locked) shard `map` and
+    /// clears the line's held byte.
+    fn remove_entry(&self, map: &mut IdMap<u32, LineEntry>, line: LineId) {
+        map.remove(&line.0);
+        self.held(line).store(0, Ordering::SeqCst);
     }
 
     /// Resolves a conflict between `me` and the holder `other`, per policy.
@@ -156,15 +235,15 @@ impl Directory {
         table: &TxTable,
         policy: ConflictPolicy,
     ) -> Result<(), Abort> {
-        let mut shard = self.lock_shard(line);
-        let entry = shard.entry(line.0).or_default();
+        let mut map = self.lock_shard(line);
+        let entry = self.entry(&mut map, line);
         if let Some(other) = entry.writer {
             if other != me {
                 Self::resolve_tx_conflict(table, policy, other, line, me)?;
                 entry.writer = None;
             }
         }
-        debug_assert!(!entry.readers.contains(&me));
+        debug_assert!(!entry.readers.as_slice().contains(&me));
         entry.readers.push(me);
         Ok(())
     }
@@ -183,8 +262,8 @@ impl Directory {
         table: &TxTable,
         policy: ConflictPolicy,
     ) -> Result<(), Abort> {
-        let mut shard = self.lock_shard(line);
-        let entry = shard.entry(line.0).or_default();
+        let mut map = self.lock_shard(line);
+        let entry = self.entry(&mut map, line);
         if let Some(other) = entry.writer {
             if other != me {
                 Self::resolve_tx_conflict(table, policy, other, line, me)?;
@@ -193,8 +272,7 @@ impl Directory {
         }
         // Doom / defer to readers other than me.
         let mut i = 0;
-        while i < entry.readers.len() {
-            let r = entry.readers[i];
+        while let Some(&r) = entry.readers.as_slice().get(i) {
             if r == me {
                 i += 1;
                 continue;
@@ -224,22 +302,18 @@ impl Directory {
         table: &TxTable,
         op: impl FnOnce() -> R,
     ) -> R {
-        // Fast path: an untracked READ of a line in a shard with no live
-        // entries cannot conflict with anything — it linearizes before any
-        // in-flight registration — so it skips the lock entirely. Stores
-        // must always take the slow path: their doom of registered holders
-        // has to be serialized with registration.
-        if kind == UntrackedKind::Read
-            && self
-                .shard(line)
-                .occupancy
-                .load(std::sync::atomic::Ordering::SeqCst)
-                == 0
-        {
+        // Fast path: an untracked READ of a line whose held byte is 0 cannot
+        // conflict with anything. No transaction has registered the line yet
+        // (its writes are still buffered, so the read linearizes before the
+        // registration), or the last holder released it, which happens
+        // after any commit flush. Stores must always take the slow path:
+        // their doom of registered holders has to be serialized with
+        // registration.
+        if kind == UntrackedKind::Read && self.held(line).load(Ordering::SeqCst) == 0 {
             return op();
         }
-        let mut shard = self.lock_shard(line);
-        if let Some(entry) = shard.get_mut(&line.0) {
+        let mut map = self.lock_shard(line);
+        if let Some(entry) = map.get_mut(&line.0) {
             if let Some(other) = entry.writer {
                 let doom_it = kind == UntrackedKind::Write || reads_doom;
                 match if doom_it {
@@ -264,13 +338,14 @@ impl Directory {
                 }
             }
             if kind == UntrackedKind::Write {
-                for r in entry.readers.drain(..) {
+                for &r in entry.readers.as_slice() {
                     table.note_doom(r, line, doomer);
                     let _ = table.doom(r);
                 }
+                entry.readers = Readers::default();
             }
             if entry.is_empty() {
-                shard.remove(&line.0);
+                self.remove_entry(&mut map, line);
             }
         }
         op()
@@ -299,22 +374,22 @@ impl Directory {
         write_lines: impl Iterator<Item = &'a LineId>,
     ) {
         for &line in read_lines {
-            let mut shard = self.lock_shard(line);
-            if let Some(entry) = shard.get_mut(&line.0) {
-                entry.readers.retain(|&r| r != me);
+            let mut map = self.lock_shard(line);
+            if let Some(entry) = map.get_mut(&line.0) {
+                entry.readers.remove(me);
                 if entry.is_empty() {
-                    shard.remove(&line.0);
+                    self.remove_entry(&mut map, line);
                 }
             }
         }
         for &line in write_lines {
-            let mut shard = self.lock_shard(line);
-            if let Some(entry) = shard.get_mut(&line.0) {
+            let mut map = self.lock_shard(line);
+            if let Some(entry) = map.get_mut(&line.0) {
                 if entry.writer == Some(me) {
                     entry.writer = None;
                 }
                 if entry.is_empty() {
-                    shard.remove(&line.0);
+                    self.remove_entry(&mut map, line);
                 }
             }
         }
@@ -386,7 +461,7 @@ mod tests {
 
     #[test]
     fn read_read_sharing_is_conflict_free() {
-        let dir = Directory::new();
+        let dir = Directory::new(16);
         let table = TxTable::new(4);
         let line = LineId(7);
         table.begin(0, 1);
@@ -401,7 +476,7 @@ mod tests {
 
     #[test]
     fn write_dooms_readers_under_requester_wins() {
-        let dir = Directory::new();
+        let dir = Directory::new(16);
         let table = TxTable::new(4);
         let line = LineId(3);
         table.begin(0, 1);
@@ -416,7 +491,7 @@ mod tests {
 
     #[test]
     fn write_self_aborts_under_responder_wins() {
-        let dir = Directory::new();
+        let dir = Directory::new(16);
         let table = TxTable::new(4);
         let line = LineId(3);
         table.begin(0, 1);
@@ -430,7 +505,7 @@ mod tests {
 
     #[test]
     fn untracked_write_dooms_readers_and_writer() {
-        let dir = Directory::new();
+        let dir = Directory::new(16);
         let table = TxTable::new(4);
         let line = LineId(9);
         table.begin(0, 1);
@@ -446,7 +521,7 @@ mod tests {
 
     #[test]
     fn untracked_read_dooms_writer_only_when_enabled() {
-        let dir = Directory::new();
+        let dir = Directory::new(16);
         let table = TxTable::new(4);
         let line = LineId(2);
         table.begin(0, 1);
@@ -460,7 +535,7 @@ mod tests {
 
     #[test]
     fn untracked_read_never_dooms_plain_readers() {
-        let dir = Directory::new();
+        let dir = Directory::new(16);
         let table = TxTable::new(4);
         let line = LineId(4);
         table.begin(0, 1);
@@ -472,7 +547,7 @@ mod tests {
 
     #[test]
     fn requester_wins_attributes_doom_to_requester() {
-        let dir = Directory::new();
+        let dir = Directory::new(16);
         let table = TxTable::new(4);
         let line = LineId(11);
         table.begin(0, 1);
@@ -487,7 +562,7 @@ mod tests {
 
     #[test]
     fn responder_wins_attributes_self_abort_to_holder() {
-        let dir = Directory::new();
+        let dir = Directory::new(16);
         let table = TxTable::new(4);
         let line = LineId(3);
         table.begin(0, 1);
@@ -501,7 +576,7 @@ mod tests {
 
     #[test]
     fn untracked_write_attributes_dooms() {
-        let dir = Directory::new();
+        let dir = Directory::new(16);
         let table = TxTable::new(4);
         let line = LineId(9);
         table.begin(0, 1);
@@ -514,7 +589,7 @@ mod tests {
 
     #[test]
     fn release_clears_entries() {
-        let dir = Directory::new();
+        let dir = Directory::new(16);
         let table = TxTable::new(4);
         let r_line = LineId(1);
         let w_line = LineId(2);
@@ -530,7 +605,7 @@ mod tests {
 
     #[test]
     fn stale_epoch_entries_are_ignored() {
-        let dir = Directory::new();
+        let dir = Directory::new(16);
         let table = TxTable::new(4);
         let line = LineId(5);
         table.begin(0, 1);
@@ -547,7 +622,7 @@ mod tests {
 
     #[test]
     fn reacquiring_own_write_line_is_idempotent() {
-        let dir = Directory::new();
+        let dir = Directory::new(16);
         let table = TxTable::new(4);
         let line = LineId(6);
         table.begin(0, 1);
@@ -616,7 +691,7 @@ mod tests {
 
     #[test]
     fn reader_then_writer_upgrade_by_same_tx() {
-        let dir = Directory::new();
+        let dir = Directory::new(16);
         let table = TxTable::new(4);
         let line = LineId(8);
         table.begin(0, 1);
@@ -629,5 +704,145 @@ mod tests {
             !table.is_doomed(me),
             "upgrading own line never self-conflicts"
         );
+    }
+
+    /// Asserts that each of `lines` has its held byte set exactly when the
+    /// directory has an entry for it.
+    fn assert_held_matches_entries(dir: &Directory, lines: &[LineId], step: &str) {
+        for &line in lines {
+            let has_entry = dir.lock_shard(line).contains_key(&line.0);
+            assert_eq!(
+                dir.held(line).load(Ordering::SeqCst),
+                u8::from(has_entry),
+                "after {step}: line {}'s held byte disagrees with its entry",
+                line.0
+            );
+        }
+    }
+
+    fn held_lines(dir: &Directory) -> usize {
+        dir.held
+            .iter()
+            .filter(|b| b.load(Ordering::SeqCst) != 0)
+            .count()
+    }
+
+    #[test]
+    fn held_byte_is_set_exactly_while_the_line_has_an_entry() {
+        let dir = Directory::new(16);
+        let table = TxTable::new(4);
+        let rw = ConflictPolicy::RequesterWins;
+        let lines = [LineId(1), LineId(2), LineId(3), LineId(4)];
+        let [read_line, write_line, upgraded, dead_writer_line] = lines;
+        let check = |step: &str| assert_held_matches_entries(&dir, &lines, step);
+        check("nothing");
+
+        table.begin(0, 1);
+        let t0 = owner(0, 1);
+        dir.acquire_read(read_line, t0, &table, rw).unwrap();
+        check("acquire_read");
+        dir.acquire_write(write_line, t0, &table, rw).unwrap();
+        check("acquire_write");
+        dir.acquire_read(upgraded, t0, &table, rw).unwrap();
+        dir.acquire_write(upgraded, t0, &table, rw).unwrap();
+        check("same-transaction upgrade");
+
+        // A responder-wins loser leaves the live holder's entry in place.
+        table.begin(1, 1);
+        let t1 = owner(1, 1);
+        let lost = dir.acquire_write(write_line, t1, &table, ConflictPolicy::ResponderWins);
+        assert_eq!(lost, Err(Abort::Conflict));
+        assert!(!table.is_doomed(t0));
+        check("responder-wins self-abort");
+        dir.release(t1, [].iter(), [write_line].iter());
+        check("release of the loser's write line");
+
+        // An untracked store drains t0 as both reader and writer of the
+        // upgraded line.
+        dir.untracked_access(upgraded, UntrackedKind::Write, true, 3, &table);
+        assert!(table.is_doomed(t0));
+        check("untracked write");
+
+        // An untracked read with reads_doom off leaves a dead writer; with
+        // it on, it clears the dead writer and the entry goes.
+        table.begin(2, 1);
+        let t2 = owner(2, 1);
+        dir.acquire_write(dead_writer_line, t2, &table, rw).unwrap();
+        let _ = table.doom(t2);
+        dir.untracked_access(dead_writer_line, UntrackedKind::Read, false, 3, &table);
+        check("untracked read leaving a dead writer");
+        assert_eq!(dir.held(dead_writer_line).load(Ordering::SeqCst), 1);
+        dir.untracked_access(dead_writer_line, UntrackedKind::Read, true, 3, &table);
+        check("untracked read clearing a dead writer");
+        assert_eq!(dir.held(dead_writer_line).load(Ordering::SeqCst), 0);
+
+        dir.release(
+            t0,
+            [read_line, upgraded].iter(),
+            [write_line, upgraded].iter(),
+        );
+        check("release of read and write lines");
+        dir.release(t2, [].iter(), [dead_writer_line].iter());
+        check("release of an already cleared line");
+        assert_eq!((dir.live_lines(), held_lines(&dir)), (0, 0));
+    }
+
+    #[test]
+    fn spilled_readers_are_doomed_blamed_and_released() {
+        const READERS: u32 = 4;
+        assert!(READERS as usize > INLINE_READERS);
+        let line = LineId(5);
+        let setup = |policy| {
+            let dir = Directory::new(16);
+            let table = TxTable::new(8);
+            let readers: Vec<Owner> = (0..READERS).map(|t| owner(t, 1)).collect();
+            for &r in &readers {
+                table.begin(r.tid, 1);
+                dir.acquire_read(line, r, &table, policy).unwrap();
+            }
+            table.begin(READERS, 1);
+            (dir, table, readers, owner(READERS, 1))
+        };
+        let release_all = |dir: &Directory, readers: &[Owner], writer: Owner| {
+            for &r in readers {
+                dir.release(r, [line].iter(), [].iter());
+            }
+            dir.release(writer, [].iter(), [line].iter());
+            assert_eq!((dir.live_lines(), held_lines(dir)), (0, 0));
+        };
+
+        // Requester-wins: the writer dooms all four and is named by each.
+        let (dir, table, readers, writer) = setup(ConflictPolicy::RequesterWins);
+        dir.acquire_write(line, writer, &table, ConflictPolicy::RequesterWins)
+            .unwrap();
+        for &r in &readers {
+            assert!(table.is_doomed(r), "reader {} survived", r.tid);
+            assert_eq!(table.take_conflict(r), Some((line.0, writer.tid)));
+        }
+        assert!(!table.is_doomed(writer));
+        release_all(&dir, &readers, writer);
+
+        // Responder-wins: the writer walks past the dead readers and
+        // self-aborts on the one still live, the last to register.
+        let (dir, table, readers, writer) = setup(ConflictPolicy::ResponderWins);
+        let (dead, live) = readers.split_at(readers.len() - 1);
+        for &r in dead {
+            let _ = table.doom(r);
+        }
+        let res = dir.acquire_write(line, writer, &table, ConflictPolicy::ResponderWins);
+        assert_eq!(res, Err(Abort::Conflict));
+        assert!(!table.is_doomed(live[0]));
+        assert_eq!(table.take_conflict(writer), Some((line.0, live[0].tid)));
+        release_all(&dir, &readers, writer);
+
+        // An untracked store dooms all four too.
+        let (dir, table, readers, writer) = setup(ConflictPolicy::RequesterWins);
+        dir.untracked_access(line, UntrackedKind::Write, true, 7, &table);
+        for &r in &readers {
+            assert!(table.is_doomed(r), "reader {} survived", r.tid);
+            assert_eq!(table.take_conflict(r), Some((line.0, 7)));
+        }
+        assert_eq!((dir.live_lines(), held_lines(&dir)), (0, 0));
+        release_all(&dir, &readers, writer);
     }
 }

@@ -120,7 +120,7 @@ impl Htm {
         };
         Self {
             mem: SimMemory::new(memory_cells, cfg.cells_per_line),
-            dir: Directory::new(),
+            dir: Directory::new(memory_cells.div_ceil(cfg.cells_per_line as usize)),
             table: TxTable::new(cfg.max_threads),
             cfg,
             registry,

@@ -6,9 +6,13 @@
 //! ```
 //!
 //! Runs every case in the default matrix (optionally filtered by name
-//! substring), prints a per-case summary line, and exits non-zero if any
-//! oracle violation is found. `TORTURE_SEED` overrides the base seed the
-//! same way it does for the test suite.
+//! substring), prints a per-case summary line, and exits 1 if any oracle
+//! violation is found. `TORTURE_SEED` overrides the base seed the same way
+//! it does for the test suite.
+//!
+//! Bad input exits 2 with one line on stderr: a flag value that does not
+//! parse or is missing, `--threads 0` or `--ops 0`, or a `--filter` that
+//! matches no case (a run that checks nothing is not a pass).
 //!
 //! `--det` switches to the deterministic matrix (serialized scheduler,
 //! bit-exact replay); `--sched-seed S` pins the schedule seed for every
@@ -40,14 +44,33 @@ use sprwl_torture::explore::{
 use sprwl_torture::{base_seed, default_matrix, det_matrix, run_case, TortureSpec};
 use sprwl_trace::schedule::ScheduleTrace;
 
+/// Prints `torture: <msg>` and exits 2, the usage-error status.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("torture: {msg}");
+    std::process::exit(2);
+}
+
+/// The value following `flag`, parsed, if the flag is present. A missing
+/// or unparsable value is a usage error.
 fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(|v| {
-            v.parse()
-                .unwrap_or_else(|_| panic!("bad value {v:?} for {flag}"))
-        })
+    let i = args.iter().position(|a| a == flag)?;
+    let Some(v) = args.get(i + 1) else {
+        usage_error(&format!("{flag} needs a value"));
+    };
+    Some(
+        v.parse()
+            .unwrap_or_else(|_| usage_error(&format!("bad value {v:?} for {flag}"))),
+    )
+}
+
+/// A count flag (`--threads`, `--ops`): `default` when absent, and a usage
+/// error when 0, which would run nothing or cannot run at all.
+fn count_flag(args: &[String], flag: &str, default: usize) -> usize {
+    let n = parse_flag(args, flag).unwrap_or(default);
+    if n == 0 {
+        usage_error(&format!("{flag} must be at least 1"));
+    }
+    n
 }
 
 /// Resolves the spec an `explore` invocation operates on.
@@ -69,8 +92,8 @@ fn explore_spec(args: &[String], threads: usize, ops: usize) -> TortureSpec {
 }
 
 fn explore_main(args: &[String]) -> ! {
-    let threads: usize = parse_flag(args, "--threads").unwrap_or(2);
-    let ops: usize = parse_flag(args, "--ops").unwrap_or(12);
+    let threads = count_flag(args, "--threads", 2);
+    let ops = count_flag(args, "--ops", 12);
     let seed: u64 = parse_flag(args, "--seed").unwrap_or_else(base_seed);
 
     if let Some(path) = parse_flag::<String>(args, "--replay-schedule") {
@@ -181,8 +204,8 @@ fn main() {
     if args.first().map(String::as_str) == Some("explore") {
         explore_main(&args[1..]);
     }
-    let threads: usize = parse_flag(&args, "--threads").unwrap_or(4);
-    let ops: usize = parse_flag(&args, "--ops").unwrap_or(250);
+    let threads = count_flag(&args, "--threads", 4);
+    let ops = count_flag(&args, "--ops", 250);
     let seed: u64 = parse_flag(&args, "--seed").unwrap_or_else(base_seed);
     let filter: Option<String> = parse_flag(&args, "--filter");
     let det = args.iter().any(|a| a == "--det");
@@ -194,21 +217,20 @@ fn main() {
         std::env::set_var("TORTURE_SCHED_SEED", s);
     }
 
-    let matrix = if det {
+    let mut matrix = if det {
         det_matrix(threads, ops)
     } else {
         default_matrix(threads, ops)
     };
+    if let Some(f) = &filter {
+        matrix.retain(|spec| spec.name.contains(f.as_str()));
+        if matrix.is_empty() {
+            usage_error(&format!("no case matches --filter {f:?}"));
+        }
+    }
     let mut failures = 0usize;
-    let mut ran = 0usize;
     let t_all = std::time::Instant::now();
     for spec in &matrix {
-        if let Some(f) = &filter {
-            if !spec.name.contains(f.as_str()) {
-                continue;
-            }
-        }
-        ran += 1;
         let t_case = std::time::Instant::now();
         match run_case(spec, seed) {
             Ok(s) => println!(
@@ -229,7 +251,8 @@ fn main() {
         }
     }
     println!(
-        "torture: {ran} case(s), {failures} violation(s), base seed {seed:#x}, {:.1}ms total",
+        "torture: {} case(s), {failures} violation(s), base seed {seed:#x}, {:.1}ms total",
+        matrix.len(),
         t_all.elapsed().as_secs_f64() * 1e3
     );
     if failures > 0 {

@@ -32,6 +32,39 @@ cargo run -q --release --offline -p sprwl-torture -- --threads 2 --ops 100
 echo "==> deterministic torture smoke (serialized scheduler, incl. mid-run thread churn cases)"
 cargo run -q --release --offline -p sprwl-torture -- --det --threads 2 --ops 100
 
+echo "==> torture usage smoke (bad input exits 2, never a panic or a vacuous pass)"
+for bad in "--threads abc" "--threads 0" "--ops 0" "--filter no-such-case" \
+    "explore --inject-bug --budget many"; do
+    rc=0
+    # shellcheck disable=SC2086 # each case is a word-split argument list
+    cargo run -q --release --offline -p sprwl-torture -- $bad > /dev/null 2>&1 || rc=$?
+    if [ "$rc" -ne 2 ]; then
+        echo "torture $bad: expected exit 2 (usage error), got $rc" >&2
+        exit 1
+    fi
+done
+
+echo "==> wallbench (its tests, then a 2-s run of each BENCHMARK.json workload)"
+# The benchmark's workloads at full size on free-running threads: they
+# drive htm-sim's lock-free untracked reads far harder than the torture
+# smoke does. Each run ends with its workload's audits (TPC-C consistency,
+# the KV monotonic oracle, per-shard conservation) and must exit 0
+# reporting "correct": true.
+cargo test -q --release --offline --manifest-path wallbench/Cargo.toml
+WALL_WORKLOADS=$(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
+for wl in $WALL_WORKLOADS; do
+    WALL_OUT=$(cargo run -q --release --offline --manifest-path wallbench/Cargo.toml -- \
+        --workload "$wl" --seed 1 --seconds 2 --trace 0)
+    printf '%s\n' "$WALL_OUT" | tail -n 1 | python3 -c '
+import json, sys
+doc = json.load(sys.stdin)
+wl, correct, failed = sys.argv[1], doc["correct"], doc["failed"]
+if correct is not True or failed != 0:
+    sys.exit("wallbench %s: correct=%s failed=%s" % (wl, correct, failed))
+print("wallbench %s: correct, %d ops" % (wl, doc["attempted"]))
+' "$wl"
+done
+
 echo "==> lincheck smoke (checker accepts the committed cross-lock golden history)"
 CROSS_GOLDEN=crates/torture/tests/golden/det_cross_smoke.trace.jsonl
 cargo run -q --release --offline -p sprwl-lincheck -- "$CROSS_GOLDEN" > /dev/null

@@ -10,7 +10,8 @@
 //!             [--fill 1024,4096,16384]
 //!             [--profile broadwell-sim | power8-sim]
 //!             [--trace off|ring:CAP|sampled:RATE:CAP]...
-//!             [--capture FILE.jsonl]
+//!             [--capture FILE.jsonl|FILE.json]
+//!             [--server [--shards 2,4]] [--capacity] [--figure NAME]
 //!             [--category sweep] [--out DIR]
 //!             [--date YYYY-MM-DD] [--commit HASH]
 //! ```
@@ -27,7 +28,9 @@
 //! `@<policy>`, so one document holds e.g. `off` next to `sampled:64:4096`
 //! numbers for overhead comparison. `--capture` re-runs the grid's last
 //! (workload, lock, threads) point under the last `--trace` policy and
-//! writes its per-thread traces as JSONL — feed that to `sprwl-analyze`.
+//! writes its per-thread traces: Chrome trace-event JSON (load it in
+//! Perfetto) when the path ends in `.json`, JSONL (feed it to
+//! `sprwl-analyze`) otherwise.
 //!
 //! `--server` switches to the service grid: the `sprwl-server` sharded
 //! async KV store under redis-shaped load, swept over `--shards N,N` ×
@@ -43,15 +46,26 @@
 //! capacity-stretching ladder on. Capacity sweeps are deterministic-only;
 //! the last `--threads` entry is the worker count, and the emitted
 //! category defaults to `capacity`.
+//!
+//! `--figure NAME` runs one of the paper's figures as a fixed grid
+//! (`fig3` … `fig7`, or `ablation`; see `sprwl_bench::figures`) over the
+//! `--threads` sweep, wall-clock only (`--secs`, `--warmup-secs`). The grid
+//! is fixed, so `--figure` exits 2 next to any flag that picks another grid
+//! or reshapes this one: `--det`, `--ops`, `--warmup-ops`, `--schedule-seed`,
+//! `--server`, `--shards`, `--capacity`, `--locks`, `--workloads`, `--fill`,
+//! `--profile`, `--trace` or `--capture`. The emitted category defaults to
+//! the figure name.
 
+use std::collections::HashSet;
+use std::path::Path;
 use std::process::ExitCode;
 use std::time::Duration;
 
 use sprwl::{ReaderTracking, SprwlConfig};
 use sprwl_bench::results::{git_commit, today};
 use sprwl_bench::server_sweep::{run_server_sweep, ServerSweepConfig};
-use sprwl_bench::sweep::{run_sweep, run_sweep_point_traced, SweepConfig, SweepMode};
-use sprwl_bench::{BenchPoint, LockKind};
+use sprwl_bench::sweep::{point_htm, run_hashmap_point, run_sweep, SweepConfig, SweepMode};
+use sprwl_bench::{run_figure, BenchPoint, BenchResults, LockKind, FIGURES};
 use sprwl_trace::TraceConfig;
 use sprwl_workloads::SweepWorkload;
 
@@ -72,16 +86,61 @@ fn parse_lock(name: &str) -> Option<LockKind> {
     })
 }
 
+/// The flags `--figure` refuses: each picks another grid, or reshapes or
+/// re-times the figure's fixed one.
+const NOT_WITH_FIGURE: [&str; 13] = [
+    "--det",
+    "--ops",
+    "--warmup-ops",
+    "--schedule-seed",
+    "--server",
+    "--shards",
+    "--capacity",
+    "--locks",
+    "--workloads",
+    "--fill",
+    "--profile",
+    "--trace",
+    "--capture",
+];
+
 fn usage() -> ExitCode {
     eprintln!(
         "usage: bench-sweep [--det|--wall] [--threads N,N,..] [--seed N] \
          [--ops N] [--warmup-ops N] [--schedule-seed N] [--secs F] [--warmup-secs F] \
          [--locks A,B,..] [--workloads A,B,..] [--fill N,N,..] [--profile NAME] \
-         [--trace off|ring:CAP|sampled:RATE:CAP].. [--capture FILE.jsonl] \
-         [--server] [--shards N,N,..] [--capacity] \
+         [--trace off|ring:CAP|sampled:RATE:CAP].. [--capture FILE.jsonl|FILE.json] \
+         [--server] [--shards N,N,..] [--capacity] [--figure NAME] \
          [--category NAME] [--out DIR] [--date YYYY-MM-DD] [--commit HASH]"
     );
     ExitCode::from(2)
+}
+
+/// Prints the document's table and writes it into `out_dir`.
+fn emit(results: &BenchResults, out_dir: &Path) -> ExitCode {
+    println!(
+        "# {} @ {} ({}, {}, {} points)",
+        results.file_name(),
+        results.git_commit,
+        results.mode,
+        results.capacity_profile,
+        results.points.len()
+    );
+    println!("{}", BenchPoint::header());
+    for p in &results.points {
+        println!("{}", p.row());
+    }
+    if let Err(e) = std::fs::create_dir_all(out_dir) {
+        eprintln!("error: cannot create {}: {e}", out_dir.display());
+        return ExitCode::from(2);
+    }
+    let path = out_dir.join(results.file_name());
+    if let Err(e) = std::fs::write(&path, results.to_json()) {
+        eprintln!("error: cannot write {}: {e}", path.display());
+        return ExitCode::from(2);
+    }
+    println!("wrote {}", path.display());
+    ExitCode::SUCCESS
 }
 
 /// The tracking flavour a `--locks` name selects under `--server`, if any.
@@ -112,108 +171,73 @@ fn main() -> ExitCode {
     let mut capacity = false;
     let mut shards: Vec<usize> = vec![2, 4];
     let mut locks_raw: Option<String> = None;
-    let mut category_set = false;
-    let mut wall_requested = false;
-    let mut ops_set = false;
-    let mut profile_set = false;
+    let mut figure: Option<String> = None;
+    // Every flag given, for the checks that depend on what was asked for
+    // rather than on the value it left behind.
+    let mut seen = HashSet::new();
 
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
-        let mut val = |flag: &str| -> Result<String, ExitCode> {
-            args.next().ok_or_else(|| {
-                eprintln!("error: {flag} needs a value");
-                usage()
-            })
-        };
-        macro_rules! parse_val {
-            ($flag:expr, $ty:ty) => {
-                match val($flag) {
-                    Ok(v) => match v.parse::<$ty>() {
-                        Ok(p) => p,
-                        Err(_) => {
-                            eprintln!("error: bad value {v:?} for {}", $flag);
-                            return usage();
-                        }
-                    },
-                    Err(code) => return code,
-                }
-            };
-        }
-        match a.as_str() {
-            "--det" => det = true,
-            "--wall" => {
-                det = false;
-                wall_requested = true;
-            }
-            "--server" => server = true,
-            "--capacity" => capacity = true,
-            "--shards" => {
-                let v = match val("--shards") {
-                    Ok(v) => v,
-                    Err(code) => return code,
-                };
-                let parsed: Result<Vec<usize>, _> =
-                    v.split(',').map(|t| t.trim().parse::<usize>()).collect();
-                match parsed {
-                    Ok(s) if !s.is_empty() && s.iter().all(|&n| n >= 1) => shards = s,
-                    _ => {
-                        eprintln!("error: bad shard list {v:?}");
+        seen.insert(a.clone());
+        // The flag's value, or a usage error.
+        macro_rules! take {
+            ($flag:expr) => {
+                match args.next() {
+                    Some(v) => v,
+                    None => {
+                        eprintln!("error: {} needs a value", $flag);
                         return usage();
                     }
                 }
-            }
+            };
+        }
+        macro_rules! parse_val {
+            ($flag:expr, $ty:ty) => {{
+                let v = take!($flag);
+                match v.parse::<$ty>() {
+                    Ok(p) => p,
+                    Err(_) => {
+                        eprintln!("error: bad value {v:?} for {}", $flag);
+                        return usage();
+                    }
+                }
+            }};
+        }
+        // A comma-separated list of positive integers.
+        macro_rules! parse_list {
+            ($flag:expr, $ty:ty) => {{
+                let v = take!($flag);
+                let parsed: Result<Vec<$ty>, _> =
+                    v.split(',').map(|t| t.trim().parse::<$ty>()).collect();
+                match parsed {
+                    Ok(l) if !l.is_empty() && l.iter().all(|&n| n >= 1) => l,
+                    _ => {
+                        eprintln!("error: bad list {v:?} for {}", $flag);
+                        return usage();
+                    }
+                }
+            }};
+        }
+        match a.as_str() {
+            "--det" => det = true,
+            "--wall" => det = false,
+            "--server" => server = true,
+            "--capacity" => capacity = true,
+            "--figure" => figure = Some(take!("--figure")),
+            "--shards" => shards = parse_list!("--shards", usize),
             "--seed" => cfg.seed = parse_val!("--seed", u64),
-            "--ops" => {
-                ops = parse_val!("--ops", usize);
-                ops_set = true;
-            }
+            "--ops" => ops = parse_val!("--ops", usize),
             "--warmup-ops" => warmup_ops = parse_val!("--warmup-ops", usize),
             "--schedule-seed" => schedule_seed = parse_val!("--schedule-seed", u64),
             "--secs" => secs = parse_val!("--secs", f64),
             "--warmup-secs" => warmup_secs = parse_val!("--warmup-secs", f64),
-            "--threads" => {
-                let v = match val("--threads") {
-                    Ok(v) => v,
-                    Err(code) => return code,
-                };
-                let parsed: Result<Vec<usize>, _> =
-                    v.split(',').map(|t| t.trim().parse::<usize>()).collect();
-                match parsed {
-                    Ok(t) if !t.is_empty() && t.iter().all(|&n| n >= 1) => cfg.threads = t,
-                    _ => {
-                        eprintln!("error: bad thread list {v:?}");
-                        return usage();
-                    }
-                }
-            }
-            "--locks" => {
-                // Deferred: the same flag names lock schemes for the
-                // lock-level grid and tracking flavours under --server.
-                locks_raw = match val("--locks") {
-                    Ok(v) => Some(v),
-                    Err(code) => return code,
-                };
-            }
-            "--fill" => {
-                let v = match val("--fill") {
-                    Ok(v) => v,
-                    Err(code) => return code,
-                };
-                let parsed: Result<Vec<u64>, _> =
-                    v.split(',').map(|t| t.trim().parse::<u64>()).collect();
-                match parsed {
-                    Ok(f) if !f.is_empty() && f.iter().all(|&n| n >= 1) => cfg.fill_levels = f,
-                    _ => {
-                        eprintln!("error: bad fill list {v:?}");
-                        return usage();
-                    }
-                }
-            }
+            "--threads" => cfg.threads = parse_list!("--threads", usize),
+            // Deferred: the same flag names lock schemes for the
+            // lock-level grid and tracking flavours under --server.
+            "--locks" => locks_raw = Some(take!("--locks")),
+            "--fill" => cfg.fill_levels = parse_list!("--fill", u64),
             "--workloads" => {
-                let v = match val("--workloads") {
-                    Ok(v) => v,
-                    Err(code) => return code,
-                };
+                let v = take!("--workloads");
                 let mut ws = Vec::new();
                 for name in v.split(',') {
                     match SweepWorkload::parse(name.trim()) {
@@ -230,10 +254,7 @@ fn main() -> ExitCode {
                 cfg.workloads = ws;
             }
             "--profile" => {
-                let v = match val("--profile") {
-                    Ok(v) => v,
-                    Err(code) => return code,
-                };
+                let v = take!("--profile");
                 cfg.profile = match v.as_str() {
                     "broadwell-sim" => htm_sim::CapacityProfile::BROADWELL_SIM,
                     "power8-sim" => htm_sim::CapacityProfile::POWER8_SIM,
@@ -243,13 +264,9 @@ fn main() -> ExitCode {
                         return usage();
                     }
                 };
-                profile_set = true;
             }
             "--trace" => {
-                let v = match val("--trace") {
-                    Ok(v) => v,
-                    Err(code) => return code,
-                };
+                let v = take!("--trace");
                 match TraceConfig::parse(&v) {
                     Some(tc) => trace_axis.push((v, tc)),
                     None => {
@@ -261,37 +278,11 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            "--capture" => {
-                capture_path = match val("--capture") {
-                    Ok(v) => Some(v.into()),
-                    Err(code) => return code,
-                }
-            }
-            "--category" => {
-                cfg.category = match val("--category") {
-                    Ok(v) => v,
-                    Err(code) => return code,
-                };
-                category_set = true;
-            }
-            "--out" => {
-                out_dir = match val("--out") {
-                    Ok(v) => v.into(),
-                    Err(code) => return code,
-                }
-            }
-            "--date" => {
-                date = match val("--date") {
-                    Ok(v) => v,
-                    Err(code) => return code,
-                }
-            }
-            "--commit" => {
-                commit = match val("--commit") {
-                    Ok(v) => v,
-                    Err(code) => return code,
-                }
-            }
+            "--capture" => capture_path = Some(take!("--capture").into()),
+            "--category" => cfg.category = take!("--category"),
+            "--out" => out_dir = take!("--out").into(),
+            "--date" => date = take!("--date"),
+            "--commit" => commit = take!("--commit"),
             "--help" | "-h" => {
                 usage();
                 return ExitCode::SUCCESS;
@@ -301,6 +292,34 @@ fn main() -> ExitCode {
                 return usage();
             }
         }
+    }
+
+    let category_set = seen.contains("--category");
+    let wall_requested = seen.contains("--wall");
+    if let Some(name) = figure {
+        if let Some(flag) = NOT_WITH_FIGURE.iter().find(|f| seen.contains(**f)) {
+            eprintln!("error: --figure runs a fixed wall-clock grid and takes no {flag}");
+            return ExitCode::from(2);
+        }
+        let Some(mut results) = run_figure(
+            &name,
+            &cfg.threads,
+            cfg.seed,
+            Duration::from_secs_f64(warmup_secs),
+            Duration::from_secs_f64(secs),
+            &date,
+            &commit,
+        ) else {
+            eprintln!(
+                "error: unknown figure {name:?} (expected one of {})",
+                FIGURES.join(", ")
+            );
+            return usage();
+        };
+        if category_set {
+            results.category = cfg.category.clone();
+        }
+        return emit(&results, &out_dir);
     }
 
     if capacity {
@@ -325,38 +344,17 @@ fn main() -> ExitCode {
             threads: *cfg.threads.last().expect("thread list is never empty"),
             ..sprwl_bench::CapacitySweepConfig::default()
         };
-        if ops_set {
+        if seen.contains("--ops") {
             ccfg.ops_per_thread = ops;
         }
-        if profile_set {
+        if seen.contains("--profile") {
             ccfg.profiles = vec![cfg.profile];
         }
         if category_set {
             ccfg.category = cfg.category.clone();
         }
         let results = sprwl_bench::run_capacity_sweep(&ccfg, &date, &commit);
-        println!(
-            "# {} @ {} ({}, {} points)",
-            results.file_name(),
-            results.git_commit,
-            results.mode,
-            results.points.len()
-        );
-        println!("{}", BenchPoint::header());
-        for p in &results.points {
-            println!("{}", p.row());
-        }
-        if let Err(e) = std::fs::create_dir_all(&out_dir) {
-            eprintln!("error: cannot create {}: {e}", out_dir.display());
-            return ExitCode::from(2);
-        }
-        let path = out_dir.join(results.file_name());
-        if let Err(e) = std::fs::write(&path, results.to_json()) {
-            eprintln!("error: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        println!("wrote {}", path.display());
-        return ExitCode::SUCCESS;
+        return emit(&results, &out_dir);
     }
 
     if server {
@@ -400,28 +398,7 @@ fn main() -> ExitCode {
             scfg.trackings = trackings;
         }
         let results = run_server_sweep(&scfg, &date, &commit);
-        println!(
-            "# {} @ {} ({}, {} points)",
-            results.file_name(),
-            results.git_commit,
-            results.mode,
-            results.points.len()
-        );
-        println!("{}", BenchPoint::header());
-        for p in &results.points {
-            println!("{}", p.row());
-        }
-        if let Err(e) = std::fs::create_dir_all(&out_dir) {
-            eprintln!("error: cannot create {}: {e}", out_dir.display());
-            return ExitCode::from(2);
-        }
-        let path = out_dir.join(results.file_name());
-        if let Err(e) = std::fs::write(&path, results.to_json()) {
-            eprintln!("error: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        println!("wrote {}", path.display());
-        return ExitCode::SUCCESS;
+        return emit(&results, &out_dir);
     }
 
     if let Some(raw) = &locks_raw {
@@ -470,30 +447,10 @@ fn main() -> ExitCode {
     }
 
     let results = run_sweep(&cfg, &date, &commit);
-
-    println!(
-        "# {} @ {} ({}, {}, {} points)",
-        results.file_name(),
-        results.git_commit,
-        results.mode,
-        results.capacity_profile,
-        results.points.len()
-    );
-    println!("{}", BenchPoint::header());
-    for p in &results.points {
-        println!("{}", p.row());
+    let code = emit(&results, &out_dir);
+    if code != ExitCode::SUCCESS {
+        return code;
     }
-
-    if let Err(e) = std::fs::create_dir_all(&out_dir) {
-        eprintln!("error: cannot create {}: {e}", out_dir.display());
-        return ExitCode::from(2);
-    }
-    let path = out_dir.join(results.file_name());
-    if let Err(e) = std::fs::write(&path, results.to_json()) {
-        eprintln!("error: cannot write {}: {e}", path.display());
-        return ExitCode::from(2);
-    }
-    println!("wrote {}", path.display());
 
     // One more pass over the grid's last point, traces harvested, for
     // offline analysis (`sprwl-analyze`). Deterministic mode re-produces
@@ -517,17 +474,22 @@ fn main() -> ExitCode {
             eprintln!("error: --capture needs at least one runnable grid point");
             return ExitCode::from(2);
         };
-        let (_, traces) = run_sweep_point_traced(
-            &cfg.profile,
+        let traces = run_hashmap_point(
+            point_htm(&cfg.profile, threads),
             lock,
             workload,
-            threads,
+            &workload.spec(),
             cfg.seed,
             &cfg.mode,
-            trace,
-            true,
-        );
-        if let Err(e) = sprwl_trace::export::write_jsonl_file(&capture, &traces) {
+            *trace,
+        )
+        .traces;
+        let written = if capture.extension().is_some_and(|e| e == "json") {
+            sprwl_trace::export::write_chrome_file(&capture, &traces)
+        } else {
+            sprwl_trace::export::write_jsonl_file(&capture, &traces)
+        };
+        if let Err(e) = written {
             eprintln!("error: cannot write {}: {e}", capture.display());
             return ExitCode::from(2);
         }

@@ -20,19 +20,16 @@
 //! document spans all three profiles; the header uses the sentinel
 //! `capacity` the way server documents use `service`.
 
-use std::time::Duration;
-
-use htm_sim::{clock, CapacityProfile, Htm, HtmConfig, SchedulerKind};
+use htm_sim::CapacityProfile;
 use rand::Rng;
 use sprwl::SprwlConfig;
 use sprwl_locks::SectionId;
 use sprwl_trace::TraceConfig;
-use sprwl_workloads::spec::TpccTxKind;
-use sprwl_workloads::tpcc::{self, TpccScale};
+use sprwl_workloads::tpcc::TpccScale;
 use sprwl_workloads::{Mix, RangeScanSpec};
 
-use crate::harness::{run_generic_ops, LockKind, RunConfig, WorkerCtx, SEC_TPCC_BASE};
 use crate::results::{BenchPoint, BenchResults, Hardware, SCHEMA_MINOR, SCHEMA_VERSION};
+use crate::sweep::{point_htm, run_tpcc_point, run_workers, LockKind, SweepMode};
 
 /// Read sections of the range-scan workload.
 pub const SEC_RANGE_READ: SectionId = SectionId(0);
@@ -74,6 +71,17 @@ impl Default for CapacitySweepConfig {
     }
 }
 
+impl CapacitySweepConfig {
+    /// Fixed work on the serialized scheduler, no warmup.
+    fn mode(&self) -> SweepMode {
+        SweepMode::Det {
+            warmup_ops: 0,
+            ops_per_thread: self.ops_per_thread,
+            schedule_seed: self.schedule_seed,
+        }
+    }
+}
+
 /// The TPC-C scale of the capacity sweep: the district count is raised
 /// past the spec's 10 so a full-work Delivery (one order per district,
 /// backlog guaranteed by [`Mix::DELIVERY_SWEEP`]) overflows even POWER8's
@@ -106,106 +114,23 @@ fn stretch_arms() -> [(&'static str, LockKind); 2] {
     ]
 }
 
-fn det_htm(profile: CapacityProfile, threads: usize, cells: usize, schedule_seed: u64) -> Htm {
-    Htm::new(
-        HtmConfig {
-            capacity: profile,
-            max_threads: threads,
-            scheduler: SchedulerKind::Deterministic { schedule_seed },
-            ..HtmConfig::default()
-        },
-        cells,
-    )
-}
-
-fn rc(cfg: &CapacitySweepConfig) -> RunConfig {
-    RunConfig {
-        threads: cfg.threads,
-        duration: Duration::ZERO,
-        seed: cfg.seed,
-    }
-}
-
-/// One TPC-C delivery-pressure point: fixed ops under the det scheduler.
+/// One TPC-C delivery-pressure point: fixed ops under the det scheduler,
+/// audited by [`run_tpcc_point`].
 fn tpcc_delivery_point(
     cfg: &CapacitySweepConfig,
     profile: CapacityProfile,
     label: &str,
     kind: &LockKind,
 ) -> BenchPoint {
-    let scale = capacity_tpcc_scale(cfg.threads);
-    let htm = det_htm(
-        profile,
-        cfg.threads,
-        scale.cells_needed() + 64 * cfg.threads * 8,
-        cfg.schedule_seed,
-    );
-    let lock = kind.build(&htm);
-    let db = tpcc::TpccDb::new(htm.memory(), scale);
-    let mix = Mix::DELIVERY_SWEEP;
-    let (rep, _) = run_generic_ops(
-        &htm,
-        &rc(cfg),
-        cfg.ops_per_thread,
-        TraceConfig::Off,
-        |ctx: &mut WorkerCtx<'_, '_>| {
-            let rng = &mut ctx.rng;
-            let w = (ctx.t.tid() as u32) % scale.warehouses;
-            let kind = Mix::pick(&mix, rng.gen_range(0..100));
-            let sec = SectionId(SEC_TPCC_BASE + tpcc_kind_index(kind));
-            let now = clock::now();
-            match kind {
-                TpccTxKind::StockLevel => {
-                    let inp = tpcc::gen_stock_level(rng, &scale, w);
-                    lock.read_section(ctx.t, sec, &mut |a| db.stock_level(a, &inp));
-                }
-                TpccTxKind::OrderStatus => {
-                    let inp = tpcc::gen_order_status(rng, &scale, w);
-                    lock.read_section(ctx.t, sec, &mut |a| db.order_status(a, &inp));
-                }
-                TpccTxKind::Payment => {
-                    let inp = tpcc::gen_payment(rng, &scale, w);
-                    lock.write_section(ctx.t, sec, &mut |a| db.payment(a, &inp));
-                }
-                TpccTxKind::NewOrder => {
-                    let inp = tpcc::gen_new_order(rng, &scale, w, now);
-                    lock.write_section(ctx.t, sec, &mut |a| db.new_order(a, &inp));
-                }
-                TpccTxKind::Delivery => {
-                    let inp = tpcc::gen_delivery(rng, w, now);
-                    lock.write_section(ctx.t, sec, &mut |a| db.delivery(a, &inp));
-                }
-            }
-        },
-    );
-    assert!(
-        db.audit_ytd(htm.memory()),
-        "tpcc-delivery@{} under {label}: YTD conservation broken",
-        profile.name
-    );
-    assert!(
-        db.audit_order_queues(htm.memory()),
-        "tpcc-delivery@{} under {label}: order queues corrupt",
-        profile.name
-    );
-    let elapsed = rep.virtual_elapsed_s.expect("det run");
-    BenchPoint::from_stats(
-        &format!("tpcc-delivery@{}", profile.name),
-        label,
-        cfg.threads,
-        &rep.stats,
-        elapsed,
+    run_tpcc_point(
+        point_htm(&profile, cfg.threads),
+        kind,
+        capacity_tpcc_scale(cfg.threads),
+        &Mix::DELIVERY_SWEEP,
+        cfg.seed,
+        &cfg.mode(),
     )
-}
-
-fn tpcc_kind_index(kind: TpccTxKind) -> u32 {
-    match kind {
-        TpccTxKind::StockLevel => 0,
-        TpccTxKind::Delivery => 1,
-        TpccTxKind::OrderStatus => 2,
-        TpccTxKind::Payment => 3,
-        TpccTxKind::NewOrder => 4,
-    }
+    .point(&format!("tpcc-delivery@{}", profile.name), label)
 }
 
 /// One range-scan point: long range readers, back-half range writers.
@@ -216,34 +141,27 @@ fn range_scan_point(
     kind: &LockKind,
 ) -> BenchPoint {
     let spec = RangeScanSpec::capacity_sweep();
-    let htm = det_htm(
-        profile,
-        cfg.threads,
+    let mode = cfg.mode();
+    let htm = mode.runtime(
+        point_htm(&profile, cfg.threads),
         spec.cells_needed(cfg.threads),
-        cfg.schedule_seed,
     );
     let lock = kind.build(&htm);
     let list = spec.build(htm.memory(), cfg.threads);
-    let (rep, _) = run_generic_ops(
-        &htm,
-        &rc(cfg),
-        cfg.ops_per_thread,
-        TraceConfig::Off,
-        |ctx: &mut WorkerCtx<'_, '_>| {
-            let rng = &mut ctx.rng;
-            if rng.gen_range(0..100u32) < spec.update_pct {
-                let (lo, hi) = spec.write_window(rng);
-                lock.write_section(ctx.t, SEC_RANGE_WRITE, &mut |a| {
-                    list.range_update(a, lo, hi, 1)
-                });
-            } else {
-                let (lo, hi) = spec.read_window(rng);
-                lock.read_section(ctx.t, SEC_RANGE_READ, &mut |a| {
-                    list.range_sum(a, lo, hi).map(|(count, sum)| count ^ sum)
-                });
-            }
-        },
-    );
+    let m = run_workers(&htm, cfg.seed, &mode, TraceConfig::Off, |ctx| {
+        let rng = &mut ctx.rng;
+        if rng.gen_range(0..100u32) < spec.update_pct {
+            let (lo, hi) = spec.write_window(rng);
+            lock.write_section(ctx.t, SEC_RANGE_WRITE, &mut |a| {
+                list.range_update(a, lo, hi, 1)
+            });
+        } else {
+            let (lo, hi) = spec.read_window(rng);
+            lock.read_section(ctx.t, SEC_RANGE_READ, &mut |a| {
+                list.range_sum(a, lo, hi).map(|(count, sum)| count ^ sum)
+            });
+        }
+    });
     // Range updates only touch values; the key structure must checksum
     // exactly as populated.
     let mut d = htm.direct(0);
@@ -255,14 +173,7 @@ fn range_scan_point(
         "range-scan@{} under {label}: list structure corrupt",
         profile.name
     );
-    let elapsed = rep.virtual_elapsed_s.expect("det run");
-    BenchPoint::from_stats(
-        &format!("range-scan@{}", profile.name),
-        label,
-        cfg.threads,
-        &rep.stats,
-        elapsed,
-    )
+    m.point(&format!("range-scan@{}", profile.name), label)
 }
 
 /// Runs the full (workload × profile × stretch arm) grid and assembles the
@@ -287,14 +198,8 @@ pub fn run_capacity_sweep(cfg: &CapacitySweepConfig, date: &str, git_commit: &st
     params.insert("schedule_seed".to_string(), cfg.schedule_seed.to_string());
     params.insert("ops_per_thread".to_string(), cfg.ops_per_thread.to_string());
     params.insert("threads".to_string(), cfg.threads.to_string());
-    params.insert(
-        "profiles".to_string(),
-        cfg.profiles
-            .iter()
-            .map(|p| p.name)
-            .collect::<Vec<_>>()
-            .join(","),
-    );
+    let profiles: Vec<&str> = cfg.profiles.iter().map(|p| p.name).collect();
+    params.insert("profiles".to_string(), crate::sweep::join(&profiles));
 
     BenchResults {
         schema_version: SCHEMA_VERSION,

@@ -12,6 +12,13 @@
 //! isolation: an uninstrumented read of a line the transaction wrote dooms
 //! the transaction.
 //!
+//! A ROT tracks no reads, so nothing dooms it when another writer commits
+//! to a line it has already read; its commit would then lose that update.
+//! Writers therefore pass a *writer gate* before their first ROT attempt:
+//! the gate is taken untracked and held through the ROT phase and the
+//! lock fallback, and HTM-phase writers subscribe to it, so a ROT never
+//! runs next to another writer.
+//!
 //! Both the ROT flavour and suspend/resume exist only on POWER8, which is
 //! exactly why RW-LE — unlike SpRWL — cannot run on Intel machines; the
 //! constructor enforces the same restriction against the capacity profile.
@@ -40,6 +47,8 @@ impl Default for SeqSlot {
 #[derive(Debug)]
 pub struct RwLe {
     gl: GlobalLock,
+    /// Held by the one writer in its ROT phase or lock fallback.
+    gate: GlobalLock,
     seq: Box<[SeqSlot]>,
     htm_policy: RetryPolicy,
     rot_policy: RetryPolicy,
@@ -63,6 +72,7 @@ impl RwLe {
         seq.resize_with(htm.max_threads(), SeqSlot::default);
         Self {
             gl: GlobalLock::new(htm.memory()),
+            gate: GlobalLock::new(htm.memory()),
             seq: seq.into_boxed_slice(),
             htm_policy: RetryPolicy::RWLE_ROT,
             rot_policy: RetryPolicy::RWLE_ROT,
@@ -133,15 +143,17 @@ impl RwSync for RwLe {
         let start = clock::now();
         let mem = t.ctx.htm().memory();
 
-        // Phase 1: plain HTM with lock subscription + quiescence.
+        // Phase 1: plain HTM with lock and gate subscription + quiescence.
         let mut attempts = 0u32;
         loop {
             self.gl.wait_until_free(mem);
+            self.gate.wait_until_free(mem);
             attempts += 1;
-            let gl = self.gl;
+            let (gl, gate) = (self.gl, self.gate);
             let this = self;
             match t.ctx.txn(TxKind::Htm, |tx| {
                 gl.subscribe(tx)?;
+                gate.subscribe(tx)?;
                 let r = f(tx)?;
                 let lock_free = tx.suspend(|s| this.quiesce_suspended(s))?;
                 if !lock_free {
@@ -165,7 +177,10 @@ impl RwSync for RwLe {
         }
 
         // Phase 2: rollback-only transactions (no read-set ⇒ no read
-        // capacity, no conflict aborts from reader metadata).
+        // capacity, no conflict aborts from reader metadata). Taking the
+        // gate dooms every subscribed HTM writer and keeps new ones out
+        // until this section commits.
+        self.gate.acquire(&t.ctx.direct());
         let mut attempts = 0u32;
         loop {
             self.gl.wait_until_free(mem);
@@ -180,6 +195,7 @@ impl RwSync for RwLe {
                 Ok(r)
             }) {
                 Ok(r) => {
+                    self.gate.release(&t.ctx.direct());
                     t.stats
                         .record_commit(Role::Writer, CommitMode::Rot, clock::now() - start);
                     return r;
@@ -201,6 +217,7 @@ impl RwSync for RwLe {
         self.wait_readers_drain(t.tid());
         let r = run_untracked(t, f);
         self.gl.release(&t.ctx.direct());
+        self.gate.release(&t.ctx.direct());
         t.stats
             .record_commit(Role::Writer, CommitMode::Gl, clock::now() - start);
         r
@@ -209,6 +226,9 @@ impl RwSync for RwLe {
     fn check_quiescent(&self, mem: &htm_sim::SimMemory) -> Result<(), String> {
         if self.gl.is_locked_peek(mem) {
             return Err("RW-LE: fallback lock still held at quiescence".into());
+        }
+        if self.gate.is_locked_peek(mem) {
+            return Err("RW-LE: writer gate still held at quiescence".into());
         }
         for (tid, slot) in self.seq.iter().enumerate() {
             let v = slot.0.load(Ordering::SeqCst);

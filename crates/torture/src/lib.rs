@@ -74,7 +74,9 @@
 #![warn(missing_docs, missing_debug_implementations)]
 
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
+use htm_sim::clock::SpinWait;
 use htm_sim::{Htm, HtmConfig, SchedulerKind};
 use sprwl::{InnerMode, SpRwl, SpRwlPair, SprwlConfig};
 use sprwl_lincheck::{check, labels, CheckConfig, History, Verdict};
@@ -563,7 +565,21 @@ fn reg_of(bank: usize, pair: usize, pairs: usize) -> u64 {
 /// carrying the accumulated stats and trace across. The gap between
 /// release and re-acquire runs off-schedule; surviving that window is
 /// exactly what the dynamic-registration machinery is for.
-fn churn_ctx<'h>(mut t: LockThread<'h>, htm: &'h Htm) -> LockThread<'h> {
+///
+/// The release waits until every worker has claimed its first context
+/// (`claimed` reaches `threads`): a slot freed earlier could be taken by
+/// this re-acquire before its own worker's fixed-slot claim, which would
+/// then find it taken.
+fn churn_ctx<'h>(
+    mut t: LockThread<'h>,
+    htm: &'h Htm,
+    claimed: &AtomicUsize,
+    threads: usize,
+) -> LockThread<'h> {
+    let mut wait = SpinWait::new();
+    while claimed.load(Ordering::SeqCst) < threads {
+        wait.snooze();
+    }
     let old = t.tid() as u32;
     t.trace.push(EventKind::SlotRelease { slot: old });
     let stats = std::mem::take(&mut t.stats);
@@ -577,6 +593,7 @@ fn churn_ctx<'h>(mut t: LockThread<'h>, htm: &'h Htm) -> LockThread<'h> {
     t
 }
 
+#[allow(clippy::too_many_arguments)]
 fn worker(
     lock: &dyn RwSync,
     htm: &Htm,
@@ -585,12 +602,14 @@ fn worker(
     bank_b: &[htm_sim::CellId],
     case_seed: u64,
     tid: usize,
+    claimed: &AtomicUsize,
 ) -> ThreadOut {
     // Every worker keeps an event ring so an oracle violation can dump the
     // tail of what each thread was doing — the lock's own lifecycle events
     // (for the instrumented schemes) plus one mark per issued op — and, for
     // lincheck cases, the full `lin-*` operation history.
     let mut t = LockThread::with_trace(htm.thread(tid), worker_trace(spec));
+    claimed.fetch_add(1, Ordering::SeqCst);
     let mut rng = Prng::new(mix64(case_seed ^ ((tid as u64 + 1) << 32)));
     let mut incr = vec![0u64; spec.pairs];
     let mut reader_ops = 0u64;
@@ -602,7 +621,7 @@ fn worker(
 
     for seq in 0..spec.ops_per_thread as u64 {
         if spec.churn && seq > 0 && seq == spec.ops_per_thread as u64 / 2 {
-            t = churn_ctx(t, htm);
+            t = churn_ctx(t, htm, claimed, spec.threads);
         }
         let is_write = rng.next() % 100 < u64::from(spec.write_pct);
         let p = (rng.next() as usize) % spec.pairs;
@@ -1050,12 +1069,14 @@ fn execute_mirror(
     let lock = build(&htm);
     let bank_a = htm.memory().alloc_padded(spec.pairs);
     let bank_b = htm.memory().alloc_padded(spec.pairs);
+    let claimed = AtomicUsize::new(0);
 
     let outs: Vec<ThreadOut> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..spec.threads)
             .map(|tid| {
                 let (lock, htm, bank_a, bank_b) = (&*lock, &htm, &bank_a[..], &bank_b[..]);
-                s.spawn(move || worker(lock, htm, spec, bank_a, bank_b, case_seed, tid))
+                let claimed = &claimed;
+                s.spawn(move || worker(lock, htm, spec, bank_a, bank_b, case_seed, tid, claimed))
             })
             .collect();
         handles
@@ -1733,6 +1754,19 @@ pub fn default_matrix(threads: usize, ops_per_thread: usize) -> Vec<TortureSpec>
             ..shaken.clone()
         },
     ));
+    // Read-heavy writers on TINY overflow the HTM read budget, so every
+    // writer runs as a ROT: the rung whose untracked reads the writer
+    // gate protects from a concurrent writer's commit.
+    let mut rwle_rot = base(
+        "rwle-rot",
+        LockKind::RwLe,
+        HtmConfig {
+            capacity: CapacityProfile::TINY,
+            ..shaken.clone()
+        },
+    );
+    rwle_rot.writer_scan = 4;
+    m.push(rwle_rot);
     m.push(base("mcs-rwl", LockKind::McsRw, quiet.clone()));
     m.push(base("brlock", LockKind::BrLock, quiet.clone()));
     m.push(base("brlock-bias", LockKind::BrLockBias, quiet.clone()));
@@ -1934,6 +1968,16 @@ pub fn det_matrix(threads: usize, ops_per_thread: usize) -> Vec<TortureSpec> {
             ..det.clone()
         },
     ));
+    let mut rwle_rot = base(
+        "det-rwle-rot".into(),
+        LockKind::RwLe,
+        HtmConfig {
+            capacity: CapacityProfile::TINY,
+            ..det.clone()
+        },
+    );
+    rwle_rot.writer_scan = 4;
+    m.push(rwle_rot);
     m.push(base("det-mcs-rwl".into(), LockKind::McsRw, det.clone()));
     m.push(base("det-brlock".into(), LockKind::BrLock, det.clone()));
     m.push(base(

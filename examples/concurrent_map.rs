@@ -8,8 +8,11 @@
 
 use std::time::Duration;
 
-use sprwl_repro::bench::{hashmap_point, run_hashmap, LockKind, RunConfig, RunReport};
+use sprwl_repro::bench::{
+    point_htm, run_hashmap_point, BenchPoint, LockKind, SweepMode, UNIFORM_KEYS,
+};
 use sprwl_repro::prelude::*;
+use sprwl_trace::TraceConfig;
 
 fn main() {
     let profile = CapacityProfile::POWER8_SIM;
@@ -17,13 +20,17 @@ fn main() {
     let spec = HashmapSpec::paper(
         &profile, /* long readers */ true, /* 10% updates */ 10,
     );
+    let window = SweepMode::Wall {
+        warmup: Duration::from_millis(40),
+        duration: Duration::from_millis(400),
+    };
 
     println!("Concurrent hashmap, 10-lookup readers, 10% updates, {threads} threads");
     println!(
         "(each read critical section overflows the {} capacity profile)\n",
         profile.name
     );
-    println!("{}", RunReport::header());
+    println!("{}", BenchPoint::header());
 
     for kind in [
         LockKind::Sprwl(SprwlConfig::default()),
@@ -31,26 +38,22 @@ fn main() {
         LockKind::Rwl,
         LockKind::BrLock,
     ] {
-        let (htm, lock, map) = hashmap_point(profile, &spec, &kind, threads);
-        let report = run_hashmap(
-            &htm,
-            &*lock,
-            &map,
+        let m = run_hashmap_point(
+            point_htm(&profile, threads),
+            &kind,
+            UNIFORM_KEYS,
             &spec,
-            &RunConfig {
-                threads,
-                duration: Duration::from_millis(400),
-                seed: 7,
-            },
-        )
-        .with_lock_name(kind.name());
-        println!("{}", report.row());
+            7,
+            &window,
+            TraceConfig::Off,
+        );
+        println!("{}", m.point("hashmap-long-u10", &kind.name()).row());
     }
 
     println!(
-        "\nReading the table: SpRWL's readers commit in the `Unins` column \
+        "\nReading the table: SpRWL's readers commit in the `Unin%` column \
          (uninstrumented — immune to capacity limits), while TLE's land in \
-         `GL` (serialized on the fallback lock after capacity aborts). \
+         `GL%` (serialized on the fallback lock after capacity aborts). \
          That column is the paper's whole point."
     );
 }

@@ -6,8 +6,11 @@
 
 use std::time::Duration;
 
-use sprwl_repro::bench::{hashmap_point, run_hashmap, LockKind, RunConfig, RunReport};
+use sprwl_repro::bench::{
+    point_htm, run_hashmap_point, BenchPoint, LockKind, SweepMode, UNIFORM_KEYS,
+};
 use sprwl_repro::prelude::*;
+use sprwl_trace::TraceConfig;
 
 fn main() {
     let update_pct: u32 = std::env::args()
@@ -19,13 +22,17 @@ fn main() {
     let threads = 4;
     let profile = CapacityProfile::POWER8_SIM;
     let spec = HashmapSpec::paper(&profile, true, update_pct);
+    let window = SweepMode::Wall {
+        warmup: Duration::from_millis(30),
+        duration: Duration::from_millis(300),
+    };
 
     println!(
         "Lock shootout: hashmap, 10-lookup readers, {update_pct}% updates, \
          {threads} threads, profile {}\n",
         profile.name
     );
-    println!("{}", RunReport::header());
+    println!("{}", BenchPoint::header());
 
     let contenders: Vec<LockKind> = vec![
         LockKind::Sprwl(SprwlConfig::no_sched()),
@@ -43,30 +50,30 @@ fn main() {
         LockKind::Passive,
     ];
 
-    let mut best: Option<(String, f64)> = None;
+    let mut best: Option<BenchPoint> = None;
     for kind in &contenders {
         if !kind.supports(&profile) {
             continue;
         }
-        let (htm, lock, map) = hashmap_point(profile, &spec, kind, threads);
-        let report = run_hashmap(
-            &htm,
-            &*lock,
-            &map,
+        let p = run_hashmap_point(
+            point_htm(&profile, threads),
+            kind,
+            UNIFORM_KEYS,
             &spec,
-            &RunConfig {
-                threads,
-                duration: Duration::from_millis(300),
-                seed: 13,
-            },
+            13,
+            &window,
+            TraceConfig::Off,
         )
-        .with_lock_name(kind.name());
-        println!("{}", report.row());
-        if best.as_ref().is_none_or(|(_, t)| report.throughput > *t) {
-            best = Some((report.lock.clone(), report.throughput));
+        .point(&format!("hashmap-long-u{update_pct}"), &kind.name());
+        println!("{}", p.row());
+        if best.as_ref().is_none_or(|b| p.throughput > b.throughput) {
+            best = Some(p);
         }
     }
-    if let Some((name, thr)) = best {
-        println!("\nFastest on this host: {name} at {thr:.0} tx/s");
+    if let Some(p) = best {
+        println!(
+            "\nFastest on this host: {} at {:.0} tx/s",
+            p.lock, p.throughput
+        );
     }
 }

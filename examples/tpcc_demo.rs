@@ -6,7 +6,7 @@
 
 use std::time::Duration;
 
-use sprwl_repro::bench::{run_tpcc, tpcc_point, LockKind, RunConfig, RunReport};
+use sprwl_repro::bench::{point_htm, run_tpcc_point, BenchPoint, LockKind, SweepMode};
 use sprwl_repro::prelude::*;
 use sprwl_repro::workloads::tpcc::TpccScale;
 
@@ -14,13 +14,17 @@ fn main() {
     let threads = 4;
     let profile = CapacityProfile::POWER8_SIM;
     let scale = TpccScale::with_warehouses(threads as u32);
+    let window = SweepMode::Wall {
+        warmup: Duration::from_millis(40),
+        duration: Duration::from_millis(400),
+    };
 
     println!(
         "TPC-C: {} warehouses, mix = Stock-Level 31% / Delivery 4% / \
          Order-Status 4% / Payment 43% / New-Order 18%\n",
         scale.warehouses
     );
-    println!("{}", RunReport::header());
+    println!("{}", BenchPoint::header());
 
     for kind in [
         LockKind::Sprwl(SprwlConfig::default()),
@@ -29,24 +33,17 @@ fn main() {
         LockKind::RwLe,
         LockKind::Rwl,
     ] {
-        let (htm, lock, db) = tpcc_point(profile, scale, &kind, threads);
-        let report = run_tpcc(
-            &htm,
-            &*lock,
-            &db,
+        // TPC-C consistency conditions must hold whatever the lock: the
+        // point audits them after its run and panics on a violation.
+        let m = run_tpcc_point(
+            point_htm(&profile, threads),
+            &kind,
+            scale,
             &Mix::PAPER,
-            &RunConfig {
-                threads,
-                duration: Duration::from_millis(400),
-                seed: 11,
-            },
-        )
-        .with_lock_name(kind.name());
-        println!("{}", report.row());
-
-        // TPC-C consistency conditions must hold whatever the lock.
-        assert!(db.audit_ytd(htm.memory()), "W_YTD == Σ D_YTD violated");
-        assert!(db.audit_order_queues(htm.memory()), "order queue corrupted");
+            11,
+            &window,
+        );
+        println!("{}", m.point("tpcc-paper", &kind.name()).row());
     }
     println!("\nAll consistency audits passed (W_YTD == Σ D_YTD, delivery queues sane).");
 }

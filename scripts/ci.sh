@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
-# Full CI gate: formatting, lints, tier-1 build+test, and a torture smoke.
+# Full CI gate: formatting, lints, tier-1 build, the workspace tests, torture
+# smokes, and the bench pipeline (det baselines regenerated point for point,
+# every paper figure emitted once).
 # Everything runs offline against the in-workspace dependency shims.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -19,8 +21,8 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "==> tier-1: cargo build --release"
 cargo build --release --offline
 
-echo "==> tier-1: cargo test -q"
-cargo test -q --offline
+echo "==> tests: cargo test -q --workspace (tier-1's root package and every crate)"
+cargo test -q --offline --workspace
 
 echo "==> htm-sim tests at optimized speed (directory and engine concurrency)"
 # The same tests again, interleaving at the speed the benchmarks run.
@@ -109,14 +111,6 @@ if python3 scripts/diff_traces.py "$CROSS_GOLDEN" target/truncated-golden.jsonl 
 fi
 rm -f target/truncated-golden.jsonl
 
-echo "==> trace smoke (fig3 --trace produces a non-empty Chrome trace)"
-# Benches run with cwd at the package root, so hand them an absolute path.
-SPRWL_BENCH_SECS=0.05 SPRWL_BENCH_THREADS=2 \
-    cargo bench -q -p sprwl-bench --bench fig3 --offline -- --trace "$PWD/target/trace-smoke.json" \
-    > /dev/null
-test -s target/trace-smoke.json
-cargo test -q -p sprwl-trace --offline > /dev/null
-
 echo "==> bench pipeline smoke (BENCH_*.json emit + compare exit-code contract)"
 BENCH_SMOKE_DIR=target/bench-smoke
 rm -rf "$BENCH_SMOKE_DIR"
@@ -139,6 +133,22 @@ if committed != current:
 print(f"points identical to {sys.argv[1]}")
 EOF
 }
+echo "==> trace smoke (a --capture path ending in .json gets a non-empty Chrome trace)"
+rm -f target/trace-smoke.json
+bench_sweep --wall --threads 2 --secs 0.05 --warmup-secs 0.01 --locks SpRWL \
+    --workloads mixed-90-10 --trace ring:65536 --capture target/trace-smoke.json \
+    --category tracesmoke --out "$BENCH_SMOKE_DIR" > /dev/null
+test -s target/trace-smoke.json
+python3 -c 'import json, sys; assert json.load(open(sys.argv[1]))["traceEvents"]' \
+    target/trace-smoke.json
+
+echo "==> figure smoke (every --figure writes a document the summarizer renders)"
+for fig in fig3 fig4 fig5 fig6 fig7 ablation; do
+    bench_sweep --figure "$fig" --wall --threads 2 --secs 0.02 --warmup-secs 0.01 \
+        --out "$BENCH_SMOKE_DIR/figures" > /dev/null
+    python3 scripts/summarize_bench.py "$BENCH_SMOKE_DIR"/figures/BENCH_"$fig"_*.json > /dev/null
+done
+
 # A small deterministic grid must emit a parsable, summarizable document.
 bench_sweep --det --threads 1,2 --ops 400 --warmup-ops 50 --locks SpRWL,TLE \
     --workloads read-only,hot-key --category smoke --out "$BENCH_SMOKE_DIR" > /dev/null
@@ -181,6 +191,15 @@ bench_sweep --det --threads 2 --ops 600 --warmup-ops 50 --locks SpRWL \
 bench_compare "$BENCH_SMOKE_DIR"/BENCH_traceoff_*.json \
     "$BENCH_SMOKE_DIR"/BENCH_tracesampled_*.json \
     --throughput-drop-pct 3 --abort-rise-pp 5 --p99-rise-pct 50
+# The committed two-policy document regenerates point for point.
+TRACE_BASELINE=$(ls results/BENCH_trace_overhead_*.json | head -n 1)
+bench_sweep --det --threads 1,2,4 --ops 1500 --warmup-ops 150 --schedule-seed 7 --seed 42 \
+    --locks SpRWL --workloads mixed-90-10,hot-key --trace off --trace sampled:64:4096 \
+    --category trace_overhead --out "$BENCH_SMOKE_DIR/trace-overhead-current" > /dev/null
+TRACE_CURRENT=$(ls "$BENCH_SMOKE_DIR"/trace-overhead-current/BENCH_trace_overhead_*.json)
+bench_compare "$TRACE_BASELINE" "$TRACE_CURRENT" \
+    --throughput-drop-pct 40 --abort-rise-pp 25 --p99-rise-pct 400
+same_points "$TRACE_BASELINE" "$TRACE_CURRENT"
 # sprwl-analyze exit contract: 0 = report with sections. The report is a
 # workflow artifact; the summarizer renders its top-conflict table.
 sprwl_analyze() { cargo run -q --release --offline -p sprwl-trace --bin sprwl-analyze -- "$@"; }

@@ -1,19 +1,14 @@
 #!/usr/bin/env python3
 """Summarizes benchmark captures into the comparison tables EXPERIMENTS.md
-embeds. Three input shapes:
+embeds. Two input shapes, both JSON:
 
 * ``BENCH_*.json`` — a schema-versioned results document from
-  ``bench-sweep`` (see ``results/SCHEMA.md``). Detected by a ``.json``
-  suffix or a leading ``{``.
-* an ``sprwl-analyze`` report (also ``.json``; detected by its
-  ``top_pairs`` key) — rendered as the top-conflict/line-heat tables.
-* ``bench_output.txt`` — legacy ``CSV:``-prefixed rows from the figure
-  benches (19 columns):
-    fig,profile,param,lock,threads,tx_s,abort_pct,htm,rot,gl,unins,
-    rd_mean_ns,wr_mean_ns,rd_p50_ns,rd_p95_ns,rd_p99_ns,
-    wr_p50_ns,wr_p95_ns,wr_p99_ns
-  Older captures with the pre-percentile 15-column shape still parse; the
-  latency summaries just skip them.
+  ``bench-sweep`` (see ``results/SCHEMA.md``), including the paper's
+  figures (``bench-sweep --figure NAME``).
+* an ``sprwl-analyze`` report (detected by its ``top_pairs`` key) —
+  rendered as the top-conflict/line-heat tables.
+
+Usage: ``summarize_bench.py FILE.json``
 """
 import collections
 import json
@@ -136,74 +131,19 @@ def summarize_analyzer(doc: dict) -> None:
         )
 
 
-def summarize_csv(path: str) -> None:
-    rows = []
-    for line in open(path, encoding="utf-8", errors="replace"):
-        line = line.strip()
-        if not line.startswith("CSV:"):
-            continue
-        parts = line[4:].split(",")
-        if len(parts) < 13:
-            continue
-        rows.append(parts)
-
-    by_fig = collections.defaultdict(list)
-    for r in rows:
-        by_fig[r[0]].append(r)
-
-    for fig in sorted(by_fig):
-        print(f"\n### {fig}")
-        groups = collections.defaultdict(dict)
-        for r in by_fig[fig]:
-            profile, param, lock, threads = r[1], r[2], r[3], int(r[4])
-            groups[(profile, param, threads)][lock] = r
-        for key in sorted(groups, key=str):
-            profile, param, threads = key
-            locks = groups[key]
-            best = max(locks.items(), key=lambda kv: float(kv[1][5]))
-            line = " | ".join(
-                f"{name} {float(r[5])/1e3:.0f}k" for name, r in sorted(locks.items())
-            )
-            print(f"{profile} {param} thr={threads}: {line}  [best: {best[0]}]")
-        # Per-figure speedup summaries of interest.
-        if fig in ("fig3", "fig4"):
-            for key, locks in sorted(groups.items(), key=str):
-                if "SpRWL" in locks and "TLE" in locks:
-                    s = float(locks["SpRWL"][5]) / max(float(locks["TLE"][5]), 1)
-                    print(f"  SpRWL/TLE {key}: {s:.2f}x")
-        # Reader tail latency (p50/p95/p99, us) where the row carries the
-        # 19-column percentile shape.
-        for key in sorted(groups, key=str):
-            profile, param, threads = key
-            cells = []
-            for name, r in sorted(groups[key].items()):
-                if len(r) < 19:
-                    continue
-                p50, p95, p99 = (float(r[i]) / 1e3 for i in (13, 14, 15))
-                cells.append(f"{name} {p50:.0f}/{p95:.0f}/{p99:.0f}")
-            if cells:
-                print(
-                    f"  rd lat us p50/p95/p99 {profile} {param} thr={threads}: "
-                    + " | ".join(cells)
-                )
-
-
 def main(path: str) -> None:
-    with open(path, encoding="utf-8", errors="replace") as f:
-        head = f.read(1)
-    if path.endswith(".json") or head == "{":
-        doc = json.load(open(path, encoding="utf-8"))
-        if "top_pairs" in doc:
-            summarize_analyzer(doc)
-        else:
-            summarize_json(doc)
+    doc = json.load(open(path, encoding="utf-8"))
+    if "top_pairs" in doc:
+        summarize_analyzer(doc)
     else:
-        summarize_csv(path)
+        summarize_json(doc)
 
 
 if __name__ == "__main__":
     try:
-        main(sys.argv[1] if len(sys.argv) > 1 else "bench_output.txt")
+        if len(sys.argv) != 2:
+            sys.exit("usage: summarize_bench.py FILE.json")
+        main(sys.argv[1])
     except BrokenPipeError:
         # Downstream consumer (e.g. `| head`) closed the pipe early.
         sys.stderr.close()

@@ -10,7 +10,7 @@
 //! | [`locks`] (`sprwl-locks`) | the `RwSync` interface, SGL machinery and every baseline (RWL, BRLock, PF-RWL, PRWL, TLE, RW-LE) |
 //! | [`sprwl`] | the paper's contribution: SpRWL and its variants |
 //! | [`workloads`] | the hashmap micro-benchmark and the TPC-C port |
-//! | [`mod@bench`] | the figure-regeneration harness |
+//! | [`mod@bench`] | the measurement pipeline: the paper's figures and the baselines as `BENCH_*.json` documents |
 //!
 //! See `README.md` for the architecture overview, `DESIGN.md` for the
 //! system inventory and `EXPERIMENTS.md` for paper-vs-measured results.

@@ -3,9 +3,45 @@
 
 use std::time::Duration;
 
-use sprwl_repro::bench::{hashmap_point, run_hashmap, run_tpcc, tpcc_point, LockKind, RunConfig};
+use sprwl_repro::bench::{
+    point_htm, run_hashmap_point, run_tpcc_point, LockKind, Measured, SweepMode, UNIFORM_KEYS,
+};
 use sprwl_repro::prelude::*;
 use sprwl_repro::workloads::tpcc::TpccScale;
+use sprwl_trace::TraceConfig;
+
+/// A wall-clock window of `ms` milliseconds, no warmup.
+fn wall(ms: u64) -> SweepMode {
+    SweepMode::Wall {
+        warmup: Duration::ZERO,
+        duration: Duration::from_millis(ms),
+    }
+}
+
+/// One hashmap point on a fresh runtime, uniform keys, tracing off.
+fn hashmap(
+    profile: CapacityProfile,
+    spec: &HashmapSpec,
+    kind: &LockKind,
+    threads: usize,
+    seed: u64,
+    ms: u64,
+) -> Measured {
+    run_hashmap_point(
+        point_htm(&profile, threads),
+        kind,
+        UNIFORM_KEYS,
+        spec,
+        seed,
+        &wall(ms),
+        TraceConfig::Off,
+    )
+}
+
+/// Committed sections per wall second.
+fn throughput(m: &Measured) -> f64 {
+    m.stats.total_commits() as f64 / m.elapsed_s
+}
 
 fn all_schemes() -> Vec<LockKind> {
     vec![
@@ -43,18 +79,7 @@ fn every_scheme_runs_the_hashmap_workload() {
         if !kind.supports(&profile) {
             continue;
         }
-        let (htm, lock, map) = hashmap_point(profile, &spec, &kind, 3);
-        let report = run_hashmap(
-            &htm,
-            &*lock,
-            &map,
-            &spec,
-            &RunConfig {
-                threads: 3,
-                duration: Duration::from_millis(60),
-                seed: 99,
-            },
-        );
+        let report = hashmap(profile, &spec, &kind, 3, 99, 60);
         assert!(
             report.stats.total_commits() > 0,
             "{} made no progress",
@@ -76,29 +101,17 @@ fn every_scheme_preserves_tpcc_consistency() {
         if !kind.supports(&profile) {
             continue;
         }
-        let (htm, lock, db) = tpcc_point(profile, scale, &kind, 3);
-        let report = run_tpcc(
-            &htm,
-            &*lock,
-            &db,
+        // The point audits W_YTD = Σ D_YTD and the delivery queues after
+        // its run, panicking with the lock's name on a violation.
+        let report = run_tpcc_point(
+            point_htm(&profile, 3),
+            &kind,
+            scale,
             &Mix::PAPER,
-            &RunConfig {
-                threads: 3,
-                duration: Duration::from_millis(60),
-                seed: 100,
-            },
+            100,
+            &wall(60),
         );
         assert!(report.stats.total_commits() > 0, "{}", kind.name());
-        assert!(
-            db.audit_ytd(htm.memory()),
-            "{}: W_YTD != Σ D_YTD",
-            kind.name()
-        );
-        assert!(
-            db.audit_order_queues(htm.memory()),
-            "{}: broken delivery queue",
-            kind.name()
-        );
     }
 }
 
@@ -107,18 +120,15 @@ fn sprwl_readers_go_uninstrumented_tle_readers_take_the_lock() {
     // The paper's central contrast, end to end.
     let profile = CapacityProfile::POWER8_SIM;
     let spec = HashmapSpec::paper(&profile, true, 10);
-    let rc = RunConfig {
-        threads: 2,
-        duration: Duration::from_millis(120),
-        seed: 17,
-    };
-
-    let (htm, lock, map) = hashmap_point(profile, &spec, &LockKind::Sprwl(SprwlConfig::full()), 2);
-    let sprwl_rep = run_hashmap(&htm, &*lock, &map, &spec, &rc);
-    drop((htm, lock, map));
-
-    let (htm, lock, map) = hashmap_point(profile, &spec, &LockKind::Tle, 2);
-    let tle_rep = run_hashmap(&htm, &*lock, &map, &spec, &rc);
+    let sprwl_rep = hashmap(
+        profile,
+        &spec,
+        &LockKind::Sprwl(SprwlConfig::full()),
+        2,
+        17,
+        120,
+    );
+    let tle_rep = hashmap(profile, &spec, &LockKind::Tle, 2, 17, 120);
 
     let sprwl_unins = sprwl_rep.stats.commits_by(Role::Reader, CommitMode::Unins);
     let sprwl_reads = sprwl_unins + sprwl_rep.stats.commits_by(Role::Reader, CommitMode::Htm);
@@ -146,21 +156,20 @@ fn sprwl_outperforms_tle_on_long_reader_workloads() {
     // long-reader mix.
     let profile = CapacityProfile::POWER8_SIM;
     let spec = HashmapSpec::paper(&profile, true, 10);
-    let rc = RunConfig {
-        threads: 4,
-        duration: Duration::from_millis(150),
-        seed: 18,
-    };
-    let (htm, lock, map) = hashmap_point(profile, &spec, &LockKind::Sprwl(SprwlConfig::full()), 4);
-    let sprwl_rep = run_hashmap(&htm, &*lock, &map, &spec, &rc);
-    drop((htm, lock, map));
-    let (htm, lock, map) = hashmap_point(profile, &spec, &LockKind::Tle, 4);
-    let tle_rep = run_hashmap(&htm, &*lock, &map, &spec, &rc);
+    let sprwl_rep = hashmap(
+        profile,
+        &spec,
+        &LockKind::Sprwl(SprwlConfig::full()),
+        4,
+        18,
+        150,
+    );
+    let tle_rep = hashmap(profile, &spec, &LockKind::Tle, 4, 18, 150);
     assert!(
-        sprwl_rep.throughput > 1.5 * tle_rep.throughput,
+        throughput(&sprwl_rep) > 1.5 * throughput(&tle_rep),
         "SpRWL ({:.0} tx/s) should clearly beat TLE ({:.0} tx/s)",
-        sprwl_rep.throughput,
-        tle_rep.throughput
+        throughput(&sprwl_rep),
+        throughput(&tle_rep)
     );
 }
 
@@ -171,21 +180,20 @@ fn short_reader_workloads_keep_sprwl_close_to_tle() {
     // for the simulated substrate.
     let profile = CapacityProfile::POWER8_SIM;
     let spec = HashmapSpec::paper(&profile, false, 50);
-    let rc = RunConfig {
-        threads: 2,
-        duration: Duration::from_millis(150),
-        seed: 19,
-    };
-    let (htm, lock, map) = hashmap_point(profile, &spec, &LockKind::Sprwl(SprwlConfig::full()), 2);
-    let sprwl_rep = run_hashmap(&htm, &*lock, &map, &spec, &rc);
-    drop((htm, lock, map));
-    let (htm, lock, map) = hashmap_point(profile, &spec, &LockKind::Tle, 2);
-    let tle_rep = run_hashmap(&htm, &*lock, &map, &spec, &rc);
+    let sprwl_rep = hashmap(
+        profile,
+        &spec,
+        &LockKind::Sprwl(SprwlConfig::full()),
+        2,
+        19,
+        150,
+    );
+    let tle_rep = hashmap(profile, &spec, &LockKind::Tle, 2, 19, 150);
     assert!(
-        sprwl_rep.throughput > 0.5 * tle_rep.throughput,
+        throughput(&sprwl_rep) > 0.5 * throughput(&tle_rep),
         "SpRWL ({:.0}) fell too far behind TLE ({:.0}) on short readers",
-        sprwl_rep.throughput,
-        tle_rep.throughput
+        throughput(&sprwl_rep),
+        throughput(&tle_rep)
     );
 }
 
@@ -195,16 +203,15 @@ fn rwle_writer_latency_exceeds_sprwl_under_long_readers() {
     // for active readers, inflating writer latency versus SpRWL.
     let profile = CapacityProfile::POWER8_SIM;
     let spec = HashmapSpec::paper(&profile, true, 10);
-    let rc = RunConfig {
-        threads: 4,
-        duration: Duration::from_millis(150),
-        seed: 20,
-    };
-    let (htm, lock, map) = hashmap_point(profile, &spec, &LockKind::Sprwl(SprwlConfig::full()), 4);
-    let sprwl_rep = run_hashmap(&htm, &*lock, &map, &spec, &rc);
-    drop((htm, lock, map));
-    let (htm, lock, map) = hashmap_point(profile, &spec, &LockKind::RwLe, 4);
-    let rwle_rep = run_hashmap(&htm, &*lock, &map, &spec, &rc);
+    let sprwl_rep = hashmap(
+        profile,
+        &spec,
+        &LockKind::Sprwl(SprwlConfig::full()),
+        4,
+        20,
+        150,
+    );
+    let rwle_rep = hashmap(profile, &spec, &LockKind::RwLe, 4, 20, 150);
     assert!(
         rwle_rep.stats.writer_latency.mean_ns() > sprwl_rep.stats.writer_latency.mean_ns(),
         "RW-LE writer latency ({}) should exceed SpRWL's ({})",

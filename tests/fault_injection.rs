@@ -5,19 +5,17 @@
 
 use std::time::Duration;
 
-use sprwl_repro::bench::{run_hashmap, LockKind, RunConfig};
+use sprwl_repro::bench::{run_hashmap_point, LockKind, Measured, SweepMode, UNIFORM_KEYS};
 use sprwl_repro::prelude::*;
+use sprwl_trace::TraceConfig;
 
-fn noisy_htm(threads: usize, cells: usize, interrupt_prob: f64) -> Htm {
-    Htm::new(
-        HtmConfig {
-            max_threads: threads,
-            capacity: CapacityProfile::POWER8_SIM,
-            interrupt_prob,
-            ..HtmConfig::default()
-        },
-        cells,
-    )
+fn noisy(threads: usize, interrupt_prob: f64) -> HtmConfig {
+    HtmConfig {
+        max_threads: threads,
+        capacity: CapacityProfile::POWER8_SIM,
+        interrupt_prob,
+        ..HtmConfig::default()
+    }
 }
 
 fn spec() -> HashmapSpec {
@@ -30,21 +28,18 @@ fn spec() -> HashmapSpec {
     }
 }
 
-fn run_noisy(kind: &LockKind, interrupt_prob: f64) -> sprwl_repro::bench::RunReport {
-    let spec = spec();
-    let htm = noisy_htm(3, spec.cells_needed(3) + 4096, interrupt_prob);
-    let lock = kind.build(&htm);
-    let map = spec.build(htm.memory(), 3);
-    run_hashmap(
-        &htm,
-        &*lock,
-        &map,
-        &spec,
-        &RunConfig {
-            threads: 3,
+fn run_noisy(kind: &LockKind, interrupt_prob: f64) -> Measured {
+    run_hashmap_point(
+        noisy(3, interrupt_prob),
+        kind,
+        UNIFORM_KEYS,
+        &spec(),
+        55,
+        &SweepMode::Wall {
+            warmup: Duration::ZERO,
             duration: Duration::from_millis(80),
-            seed: 55,
         },
+        TraceConfig::Off,
     )
 }
 
@@ -91,7 +86,7 @@ fn uninstrumented_readers_are_immune_to_injection() {
 fn sprwl_under_injection_keeps_bank_invariant() {
     const THREADS: usize = 3;
     const SLOTS: usize = 12;
-    let htm = noisy_htm(THREADS, 8192, 0.05);
+    let htm = Htm::new(noisy(THREADS, 0.05), 8192);
     let lock = SpRwl::with_defaults(&htm);
     let slots = htm.memory().alloc_line_aligned(SLOTS * 8);
     for i in 0..SLOTS {

@@ -10,9 +10,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use htm_sim::{CapacityProfile, Direct, Htm, HtmConfig, Region, Tx, TxKind, TxResult};
 use snzi::Snzi;
 use sprwl::SpRwl;
-use sprwl_locks::{
-    BrLock, LockThread, PassiveRwLock, PhaseFairRwLock, PthreadRwLock, RwSync, SectionId, Tle,
-};
+use sprwl_locks::{BrLock, LockThread, PthreadRwLock, RwSync, SectionId, Tle};
 
 fn htm() -> Htm {
     Htm::new(
@@ -121,8 +119,6 @@ fn bench_sections(c: &mut Criterion) {
         ("TLE", Box::new(Tle::new(&h))),
         ("RWL", Box::new(PthreadRwLock::new())),
         ("BRLock", Box::new(BrLock::new(8))),
-        ("PF-RWL", Box::new(PhaseFairRwLock::new())),
-        ("PRWL", Box::new(PassiveRwLock::new(8))),
     ];
     for (name, lock) in &locks {
         let mut t = LockThread::new(h.thread(0));

@@ -78,10 +78,6 @@ fn parse_lock(name: &str) -> Option<LockKind> {
         "RW-LE" => LockKind::RwLe,
         "RWL" => LockKind::Rwl,
         "BRLock" => LockKind::BrLock,
-        "BRLock+bias" => LockKind::BrLockBias,
-        "PF-RWL" => LockKind::PhaseFair,
-        "MCS-RWL" => LockKind::Mcs,
-        "PRWL" => LockKind::Passive,
         _ => return None,
     })
 }
@@ -409,7 +405,7 @@ fn main() -> ExitCode {
                 None => {
                     eprintln!(
                         "error: unknown lock {name:?} (expected SpRWL, SNZI, BRAVO, \
-                         TLE, RW-LE, RWL, BRLock, BRLock+bias, PF-RWL, MCS-RWL or PRWL)"
+                         TLE, RW-LE, RWL or BRLock)"
                     );
                     return usage();
                 }

@@ -343,7 +343,6 @@ mod tests {
         assert_eq!(LockKind::RwLe.name(), "RW-LE");
         assert_eq!(LockKind::Rwl.name(), "RWL");
         assert_eq!(LockKind::BrLock.name(), "BRLock");
-        assert_eq!(LockKind::Mcs.name(), "MCS-RWL");
         assert_eq!(LockKind::Sprwl(SprwlConfig::default()).name(), "SpRWL");
         assert_eq!(LockKind::Sprwl(SprwlConfig::with_snzi()).name(), "SNZI");
         assert_eq!(LockKind::Sprwl(SprwlConfig::adaptive()).name(), "Adaptive");

@@ -27,10 +27,7 @@ use htm_sim::{clock, CapacityProfile, Htm, HtmConfig, SchedulerKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sprwl::{SpRwl, SprwlConfig};
-use sprwl_locks::{
-    BrLock, LockThread, McsRwLock, PassiveRwLock, PhaseFairRwLock, PthreadRwLock, RwLe, RwSync,
-    SectionId, SessionStats, Tle,
-};
+use sprwl_locks::{BrLock, LockThread, PthreadRwLock, RwLe, RwSync, SectionId, SessionStats, Tle};
 use sprwl_trace::{ThreadTrace, TraceConfig};
 use sprwl_workloads::spec::{hashmap_read_cs, hashmap_write_cs, TpccTxKind};
 use sprwl_workloads::tpcc::{self, TpccDb, TpccScale};
@@ -50,7 +47,8 @@ pub const SEC_TPCC_BASE: u32 = 2;
 /// the update ratio and reader size from the spec, not the workload).
 pub const UNIFORM_KEYS: SweepWorkload = SweepWorkload::Mixed90_10;
 
-/// Which synchronization scheme to benchmark.
+/// Which synchronization scheme to run: SpRWL and the paper's four
+/// baselines. The torture harness runs its cases over the same list.
 #[derive(Debug, Clone)]
 pub enum LockKind {
     /// SpRWL with the given configuration.
@@ -63,15 +61,6 @@ pub enum LockKind {
     Rwl,
     /// Big-reader lock.
     BrLock,
-    /// Big-reader lock with the BRAVO visible-readers bias layer — the
-    /// pessimistic counterpart of `Sprwl(with_bravo())`.
-    BrLockBias,
-    /// Phase-fair ticket read-write lock.
-    PhaseFair,
-    /// Queue-based MCS-style read-write lock.
-    Mcs,
-    /// Passive (version-consensus) read-write lock.
-    Passive,
 }
 
 impl LockKind {
@@ -93,10 +82,6 @@ impl LockKind {
             LockKind::RwLe => "RW-LE".into(),
             LockKind::Rwl => "RWL".into(),
             LockKind::BrLock => "BRLock".into(),
-            LockKind::BrLockBias => "BRLock+bias".into(),
-            LockKind::PhaseFair => "PF-RWL".into(),
-            LockKind::Mcs => "MCS-RWL".into(),
-            LockKind::Passive => "PRWL".into(),
         }
     }
 
@@ -127,13 +112,6 @@ impl LockKind {
             LockKind::RwLe => Box::new(RwLe::new(htm)),
             LockKind::Rwl => Box::new(PthreadRwLock::new()),
             LockKind::BrLock => Box::new(BrLock::new(htm.max_threads())),
-            LockKind::BrLockBias => Box::new(BrLock::with_bias(
-                htm.max_threads(),
-                sprwl_locks::BiasPolicy::default(),
-            )),
-            LockKind::PhaseFair => Box::new(PhaseFairRwLock::new()),
-            LockKind::Mcs => Box::new(McsRwLock::new(htm.max_threads())),
-            LockKind::Passive => Box::new(PassiveRwLock::new(htm.max_threads())),
         }
     }
 

@@ -1,6 +1,7 @@
 //! `bench-sweep --figure`: a known figure writes its document; a figure
 //! next to a flag that reshapes or re-times the grid, or an unknown name,
-//! is a usage error (exit 2) that runs nothing.
+//! is a usage error (exit 2) that runs nothing. `--locks` names only the
+//! paper's schemes.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -67,4 +68,16 @@ fn figure_refuses_grid_shaping_flags_and_unknown_names() {
         assert!(stderr.contains("error:"), "{extra:?}: {stderr}");
     }
     assert!(!out.exists(), "a refused figure must write nothing");
+}
+
+#[test]
+fn locks_outside_the_paper_set_are_unknown() {
+    let out = out_dir("locks-refused");
+    for lock in ["PF-RWL", "BRLock+bias"] {
+        let run = bench_sweep(&["--det", "--locks", lock], &out);
+        assert_eq!(run.status.code(), Some(2), "{lock}");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(stderr.contains("error: unknown lock"), "{lock}: {stderr}");
+    }
+    assert!(!out.exists(), "an unknown lock must write nothing");
 }

@@ -351,10 +351,7 @@ mod tests {
     fn composed_fallback_runs_under_both_locks() {
         let htm = Htm::new(HtmConfig::default(), 4096);
         let outer_cfg = SprwlConfig {
-            writer_retry: RetryPolicy {
-                max_attempts: 1,
-                capacity_fallback_immediate: true,
-            },
+            writer_retry: RetryPolicy { max_attempts: 1 },
             ..SprwlConfig::default()
         };
         let pair = SpRwlPair::new(&htm, outer_cfg, SprwlConfig::default());

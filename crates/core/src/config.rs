@@ -177,6 +177,10 @@ impl Default for StretchPolicy {
     }
 }
 
+/// Distinct [`sprwl_locks::SectionId`]s a lock tracks: the duration
+/// estimator and every per-section table are this long.
+pub const MAX_SECTIONS: usize = 64;
+
 /// Full SpRWL configuration.
 #[derive(Debug, Clone)]
 pub struct SprwlConfig {
@@ -195,9 +199,8 @@ pub struct SprwlConfig {
     /// the simulator's (much higher) per-access instrumentation cost on
     /// every long read, so the predictive variant is the default here.
     pub adaptive_reader_htm: bool,
-    /// Retry budget for readers' optimistic HTM attempts.
-    pub reader_retry: RetryPolicy,
-    /// Retry budget for writers.
+    /// Retry budget for writers (readers' optimistic HTM attempts always
+    /// use [`RetryPolicy::PAPER_DEFAULT`]).
     pub writer_retry: RetryPolicy,
     /// δ slack for writer synchronization.
     pub delta: DeltaPolicy,
@@ -210,14 +213,6 @@ pub struct SprwlConfig {
     /// §3.4: readers park with a timed wait (using the writer's advertised
     /// end time) instead of polling the writer's state flag.
     pub timed_reader_wait: bool,
-    /// Maximum distinct [`sprwl_locks::SectionId`]s the duration estimator
-    /// tracks.
-    pub max_sections: usize,
-    /// Duration estimate (ns) advertised for sections that have never been
-    /// sampled, so the first writer through a cold section still publishes
-    /// a plausible end time instead of "ends now". 0 restores the old
-    /// degenerate behaviour.
-    pub default_section_estimate_ns: u64,
     /// Runtime self-tuning (see [`crate::tuner`]): watch each section's
     /// abort mix over a sliding window and adjust its policy knobs —
     /// boost δ-start under join-the-waiter (reader-caused) abort
@@ -247,14 +242,11 @@ impl Default for SprwlConfig {
             reader_tracking: ReaderTracking::Flags,
             readers_try_htm: true,
             adaptive_reader_htm: true,
-            reader_retry: RetryPolicy::PAPER_DEFAULT,
             writer_retry: RetryPolicy::PAPER_DEFAULT,
             delta: DeltaPolicy::HalfWriterDuration,
             versioned_sgl: false,
             sample_all_threads: false,
             timed_reader_wait: false,
-            max_sections: 64,
-            default_section_estimate_ns: crate::estimator::DEFAULT_SECTION_ESTIMATE_NS,
             self_tuning: false,
             stretch: StretchPolicy::OFF,
             debug_skip_commit_reader_check: false,

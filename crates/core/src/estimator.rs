@@ -12,7 +12,7 @@
 //!   lands, a bare `now + 0` end time would advertise "I finish
 //!   immediately", silently degrading δ-timed writer starts to "start now"
 //!   for the whole warm-up window. [`DurationEstimator::estimate`] returns
-//!   a configurable floor instead (see
+//!   a fixed floor instead (see
 //!   [`DEFAULT_SECTION_ESTIMATE_NS`]); [`DurationEstimator::duration`]
 //!   still exposes the raw 0 for callers that want "no prediction".
 //! * **The sampler is promoted, not hard-wired.** The paper samples on one
@@ -54,36 +54,16 @@ pub struct DurationEstimator {
     /// The promoted single-sampler tid ([`NO_SAMPLER`] until the first
     /// record). Unused when `sample_all_threads`.
     sampler: AtomicU64,
-    default_estimate_ns: u64,
 }
 
 impl DurationEstimator {
     /// Creates an estimator for section ids `0..max_sections` with the
-    /// stock [`DEFAULT_SECTION_ESTIMATE_NS`] floor.
+    /// [`DEFAULT_SECTION_ESTIMATE_NS`] floor.
     ///
     /// # Panics
     ///
     /// Panics if `max_sections` is zero.
     pub fn new(max_sections: usize, sample_all_threads: bool) -> Self {
-        Self::with_default(
-            max_sections,
-            sample_all_threads,
-            DEFAULT_SECTION_ESTIMATE_NS,
-        )
-    }
-
-    /// Creates an estimator whose unsampled sections estimate
-    /// `default_estimate_ns` (0 restores the historical "no prediction ⇒
-    /// ends now" behaviour).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_sections` is zero.
-    pub fn with_default(
-        max_sections: usize,
-        sample_all_threads: bool,
-        default_estimate_ns: u64,
-    ) -> Self {
         assert!(max_sections > 0, "need at least one section slot");
         let mut v = Vec::with_capacity(max_sections);
         v.resize_with(max_sections, || Ewma(AtomicU64::new(0)));
@@ -91,7 +71,6 @@ impl DurationEstimator {
             sections: v.into_boxed_slice(),
             sample_all_threads,
             sampler: AtomicU64::new(NO_SAMPLER),
-            default_estimate_ns,
         }
     }
 
@@ -170,7 +149,7 @@ impl DurationEstimator {
     /// advertised end times) should use this, never a bare 0.
     pub fn estimate(&self, sec: SectionId) -> u64 {
         match self.duration(sec) {
-            0 => self.default_estimate_ns,
+            0 => DEFAULT_SECTION_ESTIMATE_NS,
             d => d,
         }
     }
@@ -282,12 +261,6 @@ mod tests {
         );
         e.record(0, SectionId(0), 250);
         assert_eq!(e.estimate(SectionId(0)), 250, "real sample replaces it");
-    }
-
-    #[test]
-    fn zero_default_restores_historical_behaviour() {
-        let e = DurationEstimator::with_default(4, false, 0);
-        assert_eq!(e.estimate(SectionId(0)), 0);
     }
 
     #[test]

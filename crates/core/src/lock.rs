@@ -8,7 +8,7 @@ use htm_sim::{CellId, Direct, Htm, SimMemory, Tx, TxResult};
 use sprwl_locks::{GlobalLock, LockThread, RwSync, SectionBody, SectionId, VersionedLock};
 
 use crate::adaptive::ReaderReg;
-use crate::config::{ReaderTracking, SprwlConfig};
+use crate::config::{ReaderTracking, SprwlConfig, MAX_SECTIONS};
 use crate::estimator::DurationEstimator;
 use crate::reader_table::ReaderTable;
 
@@ -220,15 +220,11 @@ impl SpRwl {
             Fallback::Plain(GlobalLock::new(mem))
         };
         let readers = ReaderTable::new(mem, n, cfg.reader_tracking);
-        let est = DurationEstimator::with_default(
-            cfg.max_sections,
-            cfg.sample_all_threads,
-            cfg.default_section_estimate_ns,
-        );
-        let htm_skip = slots(cfg.max_sections, 0);
+        let est = DurationEstimator::new(MAX_SECTIONS, cfg.sample_all_threads);
+        let htm_skip = slots(MAX_SECTIONS, 0);
         let tuner = cfg
             .self_tuning
-            .then(|| crate::tuner::SectionTuner::new(cfg.max_sections));
+            .then(|| crate::tuner::SectionTuner::new(MAX_SECTIONS));
         Ok(Self {
             n,
             fallback,
@@ -241,8 +237,8 @@ impl SpRwl {
             waiting_version: slots(n, NONE),
             est,
             htm_skip,
-            stretch_level: slots(cfg.max_sections, 0),
-            stretch_probe: slots(cfg.max_sections, 0),
+            stretch_level: slots(MAX_SECTIONS, 0),
+            stretch_probe: slots(MAX_SECTIONS, 0),
             avg_read_ns: Slot::new(0),
             avg_write_ns: Slot::new(0),
             last_switch_ns: Slot::new(0),

@@ -4,7 +4,7 @@
 
 use htm_sim::clock;
 use htm_sim::TxKind;
-use sprwl_locks::{AbortCause, CommitMode, LockThread, Role, SectionBody, SectionId};
+use sprwl_locks::{AbortCause, CommitMode, LockThread, RetryPolicy, Role, SectionBody, SectionId};
 use sprwl_trace::{EventKind, TraceBuffer, TraceRole, NO_LINE, NO_PEER};
 
 use crate::lock::{SpRwl, NONE, STATE_WRITER};
@@ -92,7 +92,7 @@ impl SpRwl {
                         if abort.is_capacity() && self.cfg.adaptive_reader_htm {
                             self.htm_skip[sec.index()].store(crate::lock::HTM_PROBE_WINDOW);
                         }
-                        if !self.cfg.reader_retry.should_retry(attempts, abort) {
+                        if !RetryPolicy::PAPER_DEFAULT.should_retry(attempts, abort) {
                             break;
                         }
                     }

@@ -55,7 +55,7 @@ pub const DELTA_BOOST_MAX_NS: u64 = 50_000;
 pub(crate) const DEMOTE_WINDOW: u64 = HTM_PROBE_WINDOW * 8;
 
 /// Per-section counters and knobs. Allocated once, sized like the other
-/// per-section tables (`cfg.max_sections`).
+/// per-section tables ([`crate::config::MAX_SECTIONS`]).
 #[derive(Debug)]
 pub(crate) struct SectionTuner {
     /// Completions since the window opened.

@@ -1,24 +1,12 @@
 //! The Big Reader Lock (BRLock), as once used in the Linux kernel: readers
 //! take only their own per-thread mutex (no shared-line traffic on the read
 //! path); writers take a global mutex and then *every* per-thread mutex.
-//!
-//! The biased flavour ([`BrLock::with_bias`]) layers the BRAVO
-//! visible-readers table on top: while bias is armed readers publish with
-//! one CAS and skip even their own mutex; writers revoke bias (draining
-//! active fast-path readers) before sweeping the per-thread mutexes. This
-//! gives the pessimistic baseline the *same* reader-admission machinery as
-//! the speculative lock's `Bravo` tracking, for apples-to-apples
-//! comparisons.
-
-use std::sync::atomic::{fence, Ordering};
 
 use htm_sim::clock;
 
 use crate::api::{run_untracked, LockThread, RwSync, SectionBody, SectionId};
-use crate::policy::BiasPolicy;
 use crate::spin::SpinMutex;
 use crate::stats::{CommitMode, Role};
-use crate::visible::VisibleReaders;
 
 /// Pads a per-thread mutex to a cache line to avoid false sharing.
 #[derive(Debug, Default)]
@@ -30,9 +18,6 @@ struct PaddedMutex(SpinMutex);
 pub struct BrLock {
     global: SpinMutex,
     per_thread: Box<[PaddedMutex]>,
-    /// BRAVO bias layer (see [`crate::visible`]); `None` for the classic
-    /// unbiased lock.
-    bias: Option<VisibleReaders>,
 }
 
 impl BrLock {
@@ -48,26 +33,7 @@ impl BrLock {
         Self {
             global: SpinMutex::new(),
             per_thread: v.into_boxed_slice(),
-            bias: None,
         }
-    }
-
-    /// Creates a BRLock with the BRAVO bias layer on top: biased readers
-    /// publish in the visible-readers table with one CAS instead of taking
-    /// their per-thread mutex; writers revoke and drain before sweeping.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_threads` is zero.
-    pub fn with_bias(n_threads: usize, policy: BiasPolicy) -> Self {
-        let mut l = Self::new(n_threads);
-        l.bias = Some(VisibleReaders::new(n_threads, policy));
-        l
-    }
-
-    /// The bias layer, when this is a biased lock.
-    pub fn bias(&self) -> Option<&VisibleReaders> {
-        self.bias.as_ref()
     }
 
     /// Number of per-thread slots.
@@ -75,64 +41,25 @@ impl BrLock {
         self.per_thread.len()
     }
 
-    /// Shared acquisition. Biased locks try the visible-table fast path
-    /// first; the returned pass must be handed back to
-    /// [`BrLock::read_unlock`].
+    /// Shared acquisition: the caller's own per-thread mutex.
     ///
     /// # Panics
     ///
     /// Panics if `tid` is out of range.
-    pub fn read_lock(&self, tid: usize) -> ReadPass {
+    pub fn read_lock(&self, tid: usize) {
         assert!(tid < self.per_thread.len(), "BRLock tid {tid} out of range");
-        if let Some(bias) = &self.bias {
-            if let Some(slot) = bias.arrive(tid) {
-                // Publish-then-check (Dekker with the writer's lock-then-
-                // drain): either we see the global mutex held and withdraw,
-                // or the writer's drain sees our occupied slot and waits.
-                // Without this check a reader re-arming bias mid-write
-                // could slip past the mutex sweep. The SeqCst fence — paired
-                // with the one in `write_lock` — is what makes the pair
-                // sound: `SpinMutex` itself is only Acquire/Release, so
-                // without the fences there is no total order between our
-                // slot publish and the `is_locked` load versus the writer's
-                // lock CAS and its drain loads, and on weakly ordered
-                // targets (aarch64) both sides could miss each other.
-                fence(Ordering::SeqCst);
-                if !self.global.is_locked() {
-                    return ReadPass::Visible(slot);
-                }
-                bias.depart(slot);
-            }
-        }
         self.per_thread[tid].0.lock();
-        ReadPass::Mutex
     }
 
-    /// Shared release (balancing whatever [`BrLock::read_lock`] took).
-    pub fn read_unlock(&self, tid: usize, pass: ReadPass) {
-        match pass {
-            ReadPass::Visible(slot) => self
-                .bias
-                .as_ref()
-                .expect("a Visible pass implies a biased lock")
-                .depart(slot),
-            ReadPass::Mutex => self.per_thread[tid].0.unlock(),
-        }
+    /// Shared release.
+    pub fn read_unlock(&self, tid: usize) {
+        self.per_thread[tid].0.unlock();
     }
 
-    /// Exclusive acquisition: global mutex, bias revocation (biased locks
-    /// only — fast-path readers must drain before the sweep can exclude
-    /// them), then every per-thread mutex in index order (a total order, so
-    /// writers cannot deadlock).
+    /// Exclusive acquisition: global mutex, then every per-thread mutex in
+    /// index order (a total order, so writers cannot deadlock).
     pub fn write_lock(&self) {
         self.global.lock();
-        if let Some(bias) = &self.bias {
-            // Writer half of the Dekker pair (see `read_lock`): order the
-            // global-lock CAS before the drain's bias and slot loads, so a
-            // reader that missed the lock is seen by the drain.
-            fence(Ordering::SeqCst);
-            let _ = bias.revoke();
-        }
         for m in self.per_thread.iter() {
             m.0.lock();
         }
@@ -147,29 +74,16 @@ impl BrLock {
     }
 }
 
-/// What a reader acquired — its per-thread mutex or a visible-table slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReadPass {
-    /// The classic path: the caller's own padded mutex.
-    Mutex,
-    /// The biased fast path: a published visible-readers slot.
-    Visible(usize),
-}
-
 impl RwSync for BrLock {
     fn name(&self) -> &'static str {
-        if self.bias.is_some() {
-            "BRLock+bias"
-        } else {
-            "BRLock"
-        }
+        "BRLock"
     }
 
     fn read_section(&self, t: &mut LockThread<'_>, _sec: SectionId, f: SectionBody<'_>) -> u64 {
         let start = clock::now();
-        let pass = self.read_lock(t.tid());
+        self.read_lock(t.tid());
         let r = run_untracked(t, f);
-        self.read_unlock(t.tid(), pass);
+        self.read_unlock(t.tid());
         t.stats
             .record_commit(Role::Reader, CommitMode::Gl, clock::now() - start);
         r
@@ -196,9 +110,6 @@ impl RwSync for BrLock {
                 ));
             }
         }
-        if let Some(bias) = &self.bias {
-            bias.check_quiescent().map_err(|e| format!("BRLock: {e}"))?;
-        }
         Ok(())
     }
 }
@@ -210,10 +121,10 @@ mod tests {
     #[test]
     fn readers_use_disjoint_mutexes() {
         let l = BrLock::new(4);
-        let p0 = l.read_lock(0);
-        let p1 = l.read_lock(1); // no interference
-        l.read_unlock(0, p0);
-        l.read_unlock(1, p1);
+        l.read_lock(0);
+        l.read_lock(1); // no interference
+        l.read_unlock(0);
+        l.read_unlock(1);
     }
 
     #[test]
@@ -238,9 +149,9 @@ mod tests {
             let data = data.clone();
             handles.push(std::thread::spawn(move || {
                 for _ in 0..300 {
-                    let pass = l.read_lock(tid);
+                    l.read_lock(tid);
                     let _ = data.load(std::sync::atomic::Ordering::Relaxed);
-                    l.read_unlock(tid, pass);
+                    l.read_unlock(tid);
                 }
             }));
         }
@@ -277,76 +188,5 @@ mod tests {
     #[should_panic]
     fn out_of_range_tid_panics() {
         BrLock::new(2).read_lock(5);
-    }
-
-    #[test]
-    fn biased_readers_take_the_fast_path_until_a_writer_revokes() {
-        let l = BrLock::with_bias(2, crate::policy::BiasPolicy::default());
-        assert_eq!(
-            l.bias().unwrap().bias_state(),
-            crate::visible::BIAS_ON,
-            "bias starts armed"
-        );
-        let pass = l.read_lock(0);
-        assert!(
-            matches!(pass, ReadPass::Visible(_)),
-            "armed bias → visible-table fast path, got {pass:?}"
-        );
-        l.read_unlock(0, pass);
-        l.write_lock();
-        assert_eq!(l.bias().unwrap().bias_state(), crate::visible::BIAS_OFF);
-        l.write_unlock();
-        // Inside the cooldown the fast path is closed; the classic path
-        // still works and the lock stays correct.
-        let pass = l.read_lock(0);
-        assert_eq!(pass, ReadPass::Mutex);
-        l.read_unlock(0, pass);
-        l.check_quiescent(&htm_sim::SimMemory::new(64, 8)).unwrap();
-    }
-
-    #[test]
-    fn biased_writer_excludes_fast_path_readers() {
-        let l = std::sync::Arc::new(BrLock::with_bias(
-            4,
-            // Zero cooldown so readers re-arm aggressively and the
-            // revocation machinery is exercised on every writer turn.
-            crate::policy::BiasPolicy {
-                rearm_cooldown_ns: 0,
-                ..crate::policy::BiasPolicy::default()
-            },
-        ));
-        let data = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let mut handles = Vec::new();
-        {
-            let l = l.clone();
-            let data = data.clone();
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..300 {
-                    l.write_lock();
-                    // Torn-state canary: odd while the writer is inside.
-                    let v = data.load(std::sync::atomic::Ordering::Relaxed);
-                    data.store(v + 1, std::sync::atomic::Ordering::Relaxed);
-                    data.store(v + 2, std::sync::atomic::Ordering::Relaxed);
-                    l.write_unlock();
-                }
-            }));
-        }
-        for tid in 1..4 {
-            let l = l.clone();
-            let data = data.clone();
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..300 {
-                    let pass = l.read_lock(tid);
-                    let v = data.load(std::sync::atomic::Ordering::Relaxed);
-                    assert_eq!(v % 2, 0, "reader overlapped a writer's section");
-                    l.read_unlock(tid, pass);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(data.load(std::sync::atomic::Ordering::Relaxed), 600);
-        l.check_quiescent(&htm_sim::SimMemory::new(64, 8)).unwrap();
     }
 }

@@ -1,13 +1,11 @@
 //! # sprwl-locks — read-write-lock baselines and lock-elision machinery
 //!
-//! Everything the SpRWL paper compares against, implemented from scratch
-//! over the [`htm_sim`] substrate:
+//! The four schemes the SpRWL paper compares against, implemented from
+//! scratch over the [`htm_sim`] substrate:
 //!
 //! * **Pessimistic RWLocks** — [`PthreadRwLock`] (mutex + condvar counters,
-//!   like glibc), [`BrLock`] (per-thread "big reader" locks, once used in
-//!   the Linux kernel), [`PhaseFairRwLock`] (Brandenburg & Anderson's
-//!   PF-T ticket algorithm) and [`PassiveRwLock`] (version-consensus
-//!   reader-writer lock inspired by PRWL).
+//!   like glibc; the paper's `RWL`) and [`BrLock`] (per-thread "big reader"
+//!   locks, once used in the Linux kernel).
 //! * **HTM lock elision** — [`Tle`] (plain transactional lock elision of a
 //!   single global lock) and [`RwLe`] (hardware read-write lock elision,
 //!   the POWER8-only baseline that runs readers uninstrumented and writers
@@ -26,9 +24,6 @@
 
 pub mod api;
 pub mod brlock;
-pub mod mcs;
-pub mod passive;
-pub mod phase_fair;
 pub mod policy;
 pub mod pthread_rw;
 pub mod rwle;
@@ -36,14 +31,10 @@ pub mod sgl;
 pub mod spin;
 pub mod stats;
 pub mod tle;
-pub mod visible;
 
 pub use api::{LockThread, RwSync, SectionBody, SectionId};
 pub use brlock::BrLock;
-pub use mcs::McsRwLock;
-pub use passive::PassiveRwLock;
-pub use phase_fair::PhaseFairRwLock;
-pub use policy::{BiasPolicy, RetryPolicy};
+pub use policy::RetryPolicy;
 pub use pthread_rw::PthreadRwLock;
 pub use rwle::RwLe;
 pub use sgl::{GlobalLock, VersionedLock, ABORT_LOCKED, ABORT_READER};
@@ -53,4 +44,3 @@ pub use stats::{
     SessionStats,
 };
 pub use tle::Tle;
-pub use visible::VisibleReaders;

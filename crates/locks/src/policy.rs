@@ -6,70 +6,30 @@
 /// The paper uses 10 attempts and an *immediate* fallback on capacity
 /// aborts ("except upon capacity aborts, in which case the fallback path
 /// is immediately activated"), and a 5-attempt budget for RW-LE's ROTs.
+/// A capacity abort never retries, whatever the budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Maximum speculative attempts before falling back.
     pub max_attempts: u32,
-    /// Whether a capacity abort exhausts the budget immediately.
-    pub capacity_fallback_immediate: bool,
 }
 
 impl RetryPolicy {
-    /// The paper's default: 10 attempts, capacity falls back at once.
-    pub const PAPER_DEFAULT: RetryPolicy = RetryPolicy {
-        max_attempts: 10,
-        capacity_fallback_immediate: true,
-    };
+    /// The paper's default: 10 attempts.
+    pub const PAPER_DEFAULT: RetryPolicy = RetryPolicy { max_attempts: 10 };
 
     /// The paper's RW-LE ROT budget: 5 attempts.
-    pub const RWLE_ROT: RetryPolicy = RetryPolicy {
-        max_attempts: 5,
-        capacity_fallback_immediate: true,
-    };
+    pub const RWLE_ROT: RetryPolicy = RetryPolicy { max_attempts: 5 };
 
     /// Decides whether to keep retrying after `attempts` tries, the last of
     /// which aborted with `abort`.
     pub fn should_retry(&self, attempts: u32, abort: htm_sim::Abort) -> bool {
-        if self.capacity_fallback_immediate && abort.is_capacity() {
-            return false;
-        }
-        attempts < self.max_attempts
+        !abort.is_capacity() && attempts < self.max_attempts
     }
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
         Self::PAPER_DEFAULT
-    }
-}
-
-/// BRAVO-style reader-bias policy (see [`crate::visible`]): when and how
-/// readers may take the single-CAS visible-table fast path instead of
-/// their per-thread lock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BiasPolicy {
-    /// Whether readers may (re-)arm the bias at all. Off makes `BIAS_OFF`
-    /// sticky after the first revocation — the writer-pressure response.
-    pub enabled: bool,
-    /// How long after a revocation readers wait before re-arming, ns.
-    pub rearm_cooldown_ns: u64,
-    /// Visible-table slots per registered thread (rounded up to a power of
-    /// two overall); oversizing keeps hash collisions rare.
-    pub slots_per_thread: usize,
-}
-
-impl BiasPolicy {
-    /// Matches the SpRWL core's BRAVO defaults.
-    pub const DEFAULT: BiasPolicy = BiasPolicy {
-        enabled: true,
-        rearm_cooldown_ns: 200_000,
-        slots_per_thread: 4,
-    };
-}
-
-impl Default for BiasPolicy {
-    fn default() -> Self {
-        Self::DEFAULT
     }
 }
 
@@ -91,15 +51,5 @@ mod tests {
         let p = RetryPolicy::PAPER_DEFAULT;
         assert!(p.should_retry(9, Abort::Conflict));
         assert!(!p.should_retry(10, Abort::Conflict));
-    }
-
-    #[test]
-    fn capacity_retry_when_configured() {
-        let p = RetryPolicy {
-            max_attempts: 3,
-            capacity_fallback_immediate: false,
-        };
-        assert!(p.should_retry(1, Abort::CapacityRead));
-        assert!(!p.should_retry(3, Abort::CapacityRead));
     }
 }

@@ -18,7 +18,6 @@ use crate::stats::{AbortCause, CommitMode, Role};
 #[derive(Debug)]
 pub struct Tle {
     gl: GlobalLock,
-    policy: RetryPolicy,
 }
 
 impl Tle {
@@ -29,14 +28,8 @@ impl Tle {
     ///
     /// Panics if the simulated memory is exhausted.
     pub fn new(htm: &Htm) -> Self {
-        Self::with_policy(htm, RetryPolicy::PAPER_DEFAULT)
-    }
-
-    /// Creates the scheme with an explicit retry policy.
-    pub fn with_policy(htm: &Htm, policy: RetryPolicy) -> Self {
         Self {
             gl: GlobalLock::new(htm.memory()),
-            policy,
         }
     }
 
@@ -69,7 +62,7 @@ impl Tle {
                     if let Some(info) = t.ctx.last_conflict() {
                         t.stats.record_conflict(info.line.index() as u64, info.peer);
                     }
-                    if !self.policy.should_retry(attempts, abort) {
+                    if !RetryPolicy::PAPER_DEFAULT.should_retry(attempts, abort) {
                         break;
                     }
                 }

@@ -4,10 +4,7 @@
 //! (SpRWL runs them too, from its own crate's tests).
 
 use htm_sim::{CapacityProfile, Htm, HtmConfig};
-use sprwl_locks::{
-    BrLock, LockThread, McsRwLock, PassiveRwLock, PhaseFairRwLock, PthreadRwLock, RwLe, RwSync,
-    SectionId, Tle,
-};
+use sprwl_locks::{BrLock, LockThread, PthreadRwLock, RwLe, RwSync, SectionId, Tle};
 
 const THREADS: usize = 4;
 const SLOTS: usize = 8;
@@ -30,9 +27,6 @@ fn schemes(h: &Htm) -> Vec<Box<dyn RwSync>> {
     vec![
         Box::new(PthreadRwLock::new()),
         Box::new(BrLock::new(THREADS)),
-        Box::new(PhaseFairRwLock::new()),
-        Box::new(McsRwLock::new(THREADS)),
-        Box::new(PassiveRwLock::new(THREADS)),
         Box::new(Tle::new(h)),
         Box::new(RwLe::new(h)),
     ]

@@ -78,12 +78,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use htm_sim::clock::SpinWait;
 use htm_sim::{Htm, HtmConfig, SchedulerKind};
-use sprwl::{InnerMode, SpRwl, SpRwlPair, SprwlConfig};
+use sprwl::{InnerMode, SpRwlPair, SprwlConfig};
 use sprwl_lincheck::{check, labels, CheckConfig, History, Verdict};
-use sprwl_locks::{
-    BrLock, CommitMode, LockThread, McsRwLock, PassiveRwLock, PhaseFairRwLock, PthreadRwLock, Role,
-    RwLe, RwSync, SectionId, SessionStats, Tle,
-};
+use sprwl_locks::{CommitMode, LockThread, Role, RwSync, SectionId, SessionStats};
 use sprwl_server::ServerConfig as KvServerConfig;
 use sprwl_trace::{export, EventKind, ThreadTrace, TraceBuffer, TraceConfig};
 use sprwl_workloads::redis::RedisSpec;
@@ -219,60 +216,9 @@ pub fn first_divergence(a: &str, b: &str) -> Option<(usize, String, String)> {
     }
 }
 
-/// Which lock implementation a torture case exercises.
-#[derive(Debug, Clone)]
-pub enum LockKind {
-    /// SpRWL with the given configuration.
-    Sprwl(SprwlConfig),
-    /// Plain transactional lock elision.
-    Tle,
-    /// Read-write lock elision (requires a ROT-capable capacity profile).
-    RwLe,
-    /// The MCS-style queue-based fair read-write lock.
-    McsRw,
-    /// The Linux-style big-reader lock.
-    BrLock,
-    /// The big-reader lock with the BRAVO visible-readers bias layer.
-    BrLockBias,
-    /// Brandenburg–Anderson phase-fair ticket lock.
-    PhaseFair,
-    /// The version-consensus passive read-write lock.
-    Passive,
-    /// The mutex-and-condvar `pthread_rwlock_t` work-alike.
-    PthreadRw,
-}
-
-impl LockKind {
-    /// Instantiates the lock for `htm`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the kind is incompatible with the HTM configuration
-    /// (e.g. [`LockKind::RwLe`] on a profile without ROT support) or the
-    /// simulated memory is exhausted.
-    pub fn build(&self, htm: &Htm) -> Box<dyn RwSync> {
-        let n = htm.max_threads();
-        match self {
-            LockKind::Sprwl(cfg) => Box::new(SpRwl::new(htm, cfg.clone())),
-            LockKind::Tle => Box::new(Tle::new(htm)),
-            LockKind::RwLe => Box::new(RwLe::new(htm)),
-            LockKind::McsRw => Box::new(McsRwLock::new(n)),
-            LockKind::BrLock => Box::new(BrLock::new(n)),
-            LockKind::BrLockBias => Box::new(BrLock::with_bias(
-                n,
-                sprwl_locks::BiasPolicy {
-                    // Zero cooldown: readers re-arm on their next arrival,
-                    // so every writer pays a real revocation drain.
-                    rearm_cooldown_ns: 0,
-                    ..sprwl_locks::BiasPolicy::default()
-                },
-            )),
-            LockKind::PhaseFair => Box::new(PhaseFairRwLock::new()),
-            LockKind::Passive => Box::new(PassiveRwLock::new(n)),
-            LockKind::PthreadRw => Box::new(PthreadRwLock::new()),
-        }
-    }
-}
+/// Which lock implementation a torture case exercises: the benchmarks'
+/// catalogue, so a case and a bench point name the same five schemes.
+pub use sprwl_bench::LockKind;
 
 /// Which inner role the composed sections of a cross-lock case take (the
 /// outer role is always writer).
@@ -1670,14 +1616,15 @@ pub fn default_matrix(threads: usize, ops_per_thread: usize) -> Vec<TortureSpec>
 
     // Mid-case register/run/deregister: every worker swaps its thread
     // context halfway through, under the trackers with per-thread state
-    // (BRAVO visible slots, reader state array) and the biased baseline.
+    // (BRAVO visible slots, reader state array) and the per-thread mutexes
+    // of the big-reader lock.
     for (name, lock) in [
         ("churn-sprwl-bravo", LockKind::Sprwl(bravo_unins.clone())),
         (
             "churn-sprwl-snzi",
             LockKind::Sprwl(SprwlConfig::with_snzi()),
         ),
-        ("churn-brlock-bias", LockKind::BrLockBias),
+        ("churn-brlock", LockKind::BrLock),
     ] {
         let mut spec = base(name, lock, shaken.clone());
         spec.churn = true;
@@ -1767,12 +1714,8 @@ pub fn default_matrix(threads: usize, ops_per_thread: usize) -> Vec<TortureSpec>
     );
     rwle_rot.writer_scan = 4;
     m.push(rwle_rot);
-    m.push(base("mcs-rwl", LockKind::McsRw, quiet.clone()));
     m.push(base("brlock", LockKind::BrLock, quiet.clone()));
-    m.push(base("brlock-bias", LockKind::BrLockBias, quiet.clone()));
-    m.push(base("phase-fair", LockKind::PhaseFair, quiet.clone()));
-    m.push(base("passive", LockKind::Passive, quiet.clone()));
-    m.push(base("pthread-rw", LockKind::PthreadRw, quiet));
+    m.push(base("pthread-rw", LockKind::Rwl, quiet));
 
     // Cross-lock composition: two SpRWLs, plain sections on each plus
     // composed sections in both nestings, with the full history checked
@@ -1817,10 +1760,10 @@ pub fn default_matrix(threads: usize, ops_per_thread: usize) -> Vec<TortureSpec>
 /// scheduler ignores it, and its job (exploring interleaving families per
 /// seed) is done by the schedule seed itself.
 ///
-/// `pthread-rw` is deliberately absent: [`LockKind::PthreadRw`] blocks on
-/// a real OS condvar the scheduler cannot see, which would deadlock a
-/// fully serialized schedule. It keeps its coverage in the free-running
-/// matrix.
+/// `pthread-rw` is deliberately absent: [`LockKind::Rwl`] blocks on a
+/// real OS condvar the scheduler cannot see, which would deadlock a fully
+/// serialized schedule (see [`LockKind::det_compatible`]). It keeps its
+/// coverage in the free-running matrix.
 pub fn det_matrix(threads: usize, ops_per_thread: usize) -> Vec<TortureSpec> {
     use htm_sim::CapacityProfile;
 
@@ -1900,7 +1843,7 @@ pub fn det_matrix(threads: usize, ops_per_thread: usize) -> Vec<TortureSpec> {
             "det-churn-sprwl-snzi",
             LockKind::Sprwl(SprwlConfig::with_snzi()),
         ),
-        ("det-churn-brlock-bias", LockKind::BrLockBias),
+        ("det-churn-brlock", LockKind::BrLock),
     ] {
         let mut spec = base(name.into(), lock, det.clone());
         spec.churn = true;
@@ -1978,19 +1921,7 @@ pub fn det_matrix(threads: usize, ops_per_thread: usize) -> Vec<TortureSpec> {
     );
     rwle_rot.writer_scan = 4;
     m.push(rwle_rot);
-    m.push(base("det-mcs-rwl".into(), LockKind::McsRw, det.clone()));
     m.push(base("det-brlock".into(), LockKind::BrLock, det.clone()));
-    m.push(base(
-        "det-brlock-bias".into(),
-        LockKind::BrLockBias,
-        det.clone(),
-    ));
-    m.push(base(
-        "det-phase-fair".into(),
-        LockKind::PhaseFair,
-        det.clone(),
-    ));
-    m.push(base("det-passive".into(), LockKind::Passive, det.clone()));
 
     // Cross-lock composition under the deterministic scheduler: the
     // composed histories replay bit-for-bit, checker verdict included.
@@ -2122,7 +2053,7 @@ mod tests {
                 spec.name
             );
             assert!(
-                !matches!(spec.lock, LockKind::PthreadRw),
+                spec.lock.det_compatible(),
                 "{} blocks on a real condvar",
                 spec.name
             );

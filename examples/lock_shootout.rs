@@ -45,9 +45,6 @@ fn main() {
         LockKind::RwLe,
         LockKind::Rwl,
         LockKind::BrLock,
-        LockKind::PhaseFair,
-        LockKind::Mcs,
-        LockKind::Passive,
     ];
 
     let mut best: Option<BenchPoint> = None;

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Full CI gate: formatting, lints, tier-1 build, the workspace tests, torture
-# smokes, and the bench pipeline (det baselines regenerated point for point,
-# every paper figure emitted once).
+# Full CI gate: formatting, doc paths, lints, tier-1 build, the workspace
+# tests, torture smokes, and the bench pipeline (det baselines regenerated
+# point for point, every paper figure emitted once).
 # Everything runs offline against the in-workspace dependency shims.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -14,6 +14,28 @@ mkdir -p "$TORTURE_DUMP_DIR"
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
+
+echo "==> docs name only files that exist"
+# A backticked path under crates/, scripts/, examples/, results/ or
+# wallbench/ in the user-facing docs must match at least one file:
+# `<date>` placeholders and `*` match anything, `{a,b}` lists alternatives.
+python3 - README.md DESIGN.md EXPERIMENTS.md results/SCHEMA.md <<'EOF'
+import glob, re, sys
+missing = []
+for doc in sys.argv[1:]:
+    text = open(doc).read()
+    for m in re.finditer(r"`((?:crates|scripts|examples|results|wallbench)/[^`\s]*)", text):
+        path = re.sub(r"<[^>]*>", "*", m.group(1))
+        alts = re.search(r"\{([^}]*)\}", path)
+        pats = [path[:alts.start()] + a + path[alts.end():] for a in alts.group(1).split(",")] if alts else [path]
+        for pat in pats:
+            if not glob.glob(pat):
+                line = text.count("\n", 0, m.start()) + 1
+                missing.append(f"{doc}:{line}: `{pat}` does not exist")
+if missing:
+    sys.exit("\n".join(missing))
+print("every path the docs name exists")
+EOF
 
 echo "==> cargo clippy (workspace, all targets, -D warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings

@@ -7,7 +7,7 @@
 //! |---|---|
 //! | [`htm`] (`htm-sim`) | the simulated best-effort HTM substrate |
 //! | [`snzi`] | the scalable non-zero indicator (Ellen et al.) |
-//! | [`locks`] (`sprwl-locks`) | the `RwSync` interface, SGL machinery and every baseline (RWL, BRLock, PF-RWL, PRWL, TLE, RW-LE) |
+//! | [`locks`] (`sprwl-locks`) | the `RwSync` interface, SGL machinery and the paper's four baselines (RWL, BRLock, TLE, RW-LE) |
 //! | [`sprwl`] | the paper's contribution: SpRWL and its variants |
 //! | [`workloads`] | the hashmap micro-benchmark and the TPC-C port |
 //! | [`mod@bench`] | the measurement pipeline: the paper's figures and the baselines as `BENCH_*.json` documents |
@@ -62,9 +62,8 @@ pub mod prelude {
     pub use snzi::Snzi;
     pub use sprwl::{DeltaPolicy, ReaderTracking, Scheduling, SpRwl, SprwlConfig};
     pub use sprwl_locks::{
-        AbortCause, BrLock, CommitMode, GlobalLock, LockThread, McsRwLock, PassiveRwLock,
-        PhaseFairRwLock, PthreadRwLock, RetryPolicy, Role, RwLe, RwSync, SectionId, SessionStats,
-        Tle,
+        AbortCause, BrLock, CommitMode, GlobalLock, LockThread, PthreadRwLock, RetryPolicy, Role,
+        RwLe, RwSync, SectionId, SessionStats, Tle,
     };
     pub use sprwl_workloads::{HashmapSpec, Mix, SimHashMap, SortedList};
 }

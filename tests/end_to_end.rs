@@ -59,9 +59,6 @@ fn all_schemes() -> Vec<LockKind> {
         LockKind::RwLe,
         LockKind::Rwl,
         LockKind::BrLock,
-        LockKind::PhaseFair,
-        LockKind::Mcs,
-        LockKind::Passive,
     ]
 }
 

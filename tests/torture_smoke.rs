@@ -16,7 +16,7 @@ fn torture_smoke_cross_section() {
         "sprwl-versioned-int5",
         "sprwl-full-tiny-capacity",
         "tle",
-        "mcs-rwl",
+        "brlock",
     ];
     for name in picks {
         let spec = matrix

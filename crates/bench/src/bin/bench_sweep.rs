@@ -47,6 +47,9 @@
 //! the last `--threads` entry is the worker count, and the emitted
 //! category defaults to `capacity`.
 //!
+//! A `--threads` entry that `htm_sim::HtmConfig::validate` refuses (above
+//! 1023) exits 2 with one line on stderr.
+//!
 //! `--figure NAME` runs one of the paper's figures as a fixed grid
 //! (`fig3` … `fig7`, or `ablation`; see `sprwl_bench::figures`) over the
 //! `--threads` sweep, wall-clock only (`--secs`, `--warmup-secs`). The grid
@@ -288,6 +291,15 @@ fn main() -> ExitCode {
                 return usage();
             }
         }
+    }
+
+    if let Some(e) = cfg
+        .threads
+        .iter()
+        .find_map(|&n| point_htm(&cfg.profile, n).validate().err())
+    {
+        eprintln!("error: --threads: {e}");
+        return ExitCode::from(2);
     }
 
     let category_set = seen.contains("--category");

@@ -1,7 +1,7 @@
 //! `bench-sweep --figure`: a known figure writes its document; a figure
 //! next to a flag that reshapes or re-times the grid, or an unknown name,
 //! is a usage error (exit 2) that runs nothing. `--locks` names only the
-//! paper's schemes.
+//! paper's schemes, and `--threads` stays within the simulator's limit.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -80,4 +80,24 @@ fn locks_outside_the_paper_set_are_unknown() {
         assert!(stderr.contains("error: unknown lock"), "{lock}: {stderr}");
     }
     assert!(!out.exists(), "an unknown lock must write nothing");
+}
+
+#[test]
+fn threads_above_the_simulator_limit_exit_2_with_one_line() {
+    let out = out_dir("threads-refused");
+    let limit = "error: --threads: max_threads is 1024, above the limit of 1023 threads";
+    for args in [
+        &["--det", "--threads", "1024"][..],
+        &["--wall", "--threads", "2,1024"],
+        &["--server", "--threads", "1024"],
+        &["--capacity", "--threads", "1024"],
+        &["--figure", "fig5", "--threads", "1024"],
+    ] {
+        let run = bench_sweep(args, &out);
+        assert_eq!(run.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(stderr.contains(limit), "{args:?}: {stderr}");
+    }
+    assert!(!out.exists(), "a refused thread count must write nothing");
 }

@@ -184,14 +184,20 @@ impl HtmConfig {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first invalid field: zero threads, zero
-    /// cells per line, or an out-of-range interrupt probability.
+    /// Returns a description of the first invalid field: zero threads or
+    /// more than 1023 (the conflict directory names a thread in 10 bits of
+    /// a cache line's word), zero cells per line, or an out-of-range
+    /// probability.
     pub fn validate(&self) -> Result<(), String> {
         if self.max_threads == 0 {
             return Err("max_threads must be at least 1".into());
         }
-        if self.max_threads > u32::MAX as usize / 8 {
-            return Err("max_threads is unreasonably large".into());
+        if self.max_threads > crate::directory::MAX_THREADS {
+            return Err(format!(
+                "max_threads is {}, above the limit of {} threads",
+                self.max_threads,
+                crate::directory::MAX_THREADS
+            ));
         }
         if self.cells_per_line == 0 {
             return Err("cells_per_line must be at least 1".into());
@@ -222,6 +228,17 @@ mod tests {
             ..HtmConfig::default()
         };
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn thread_counts_past_the_directory_limit_are_rejected() {
+        let with = |max_threads| HtmConfig {
+            max_threads,
+            ..HtmConfig::default()
+        };
+        with(1023).validate().unwrap();
+        let err = with(1024).validate().unwrap_err();
+        assert_eq!(err, "max_threads is 1024, above the limit of 1023 threads");
     }
 
     #[test]

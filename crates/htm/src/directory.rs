@@ -1,10 +1,12 @@
-//! The conflict directory: a sharded map from cache line to the set of
-//! transactions currently holding it, plus one *held* byte per line.
+//! The conflict directory: one 4-byte *line word* per simulated cache line,
+//! naming the transactions that hold the line, plus a side map for the
+//! lines with more concurrent readers than a word can name.
 //!
 //! This plays the role of the cache-coherence protocol extensions real HTMs
-//! use for conflict detection. Each line entry records at most one
-//! transactional *writer* and any number of transactional *readers*.
-//! Accesses resolve conflicts eagerly:
+//! use for conflict detection. As with a line's coherence state, a line's
+//! word is the only shared state most accesses to the line touch. A line
+//! has at most one transactional *writer* and any number of transactional
+//! *readers*. Accesses resolve conflicts eagerly:
 //!
 //! * transactional accesses under [`ConflictPolicy::RequesterWins`] doom the
 //!   current holder(s) (coherence requests always win in hardware);
@@ -13,12 +15,16 @@
 //! * untracked accesses that find the holder mid-commit spin until the
 //!   write-buffer flush finishes, which makes single-cell untracked accesses
 //!   atomic with respect to commits;
-//! * an untracked read of a line that no transaction holds reads the
-//!   line's held byte and nothing else — no shard lock, no shard state —
-//!   as a load of an unheld line costs one load on real HTM.
+//! * registering on a line that no other thread holds in a conflicting
+//!   mode, or releasing a line of at most two readers, is one
+//!   compare-exchange on the line's word, and an untracked read of a line
+//!   that no transaction holds is one load of it, as a load of an unheld
+//!   line costs one load on real HTM.
+//!
+//! Everything else — dooming or waiting out a foreign holder, a third
+//! reader, an untracked store — runs with the word's lock bit set.
 
-use std::collections::hash_map::Entry;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 
 use parking_lot::Mutex;
 
@@ -26,68 +32,189 @@ use crate::config::ConflictPolicy;
 use crate::memory::LineId;
 use crate::slots::{DoomOutcome, Owner, TxTable};
 use crate::tx::Abort;
-use crate::util::{fib_hash, IdMap};
+use crate::util::IdMap;
 
-#[derive(Debug, Default)]
-struct LineEntry {
-    writer: Option<Owner>,
-    readers: Readers,
+// A line word, from the top bit down: the lock bit, the spilled bit, then
+// three holder fields of `TID_BITS` bits, each `tid + 1` or 0 for empty —
+// the writer, then the first and the second reader in registration order.
+// A word of 0 means no transaction holds the line. While the spilled bit
+// is set, the reader fields are 0 and the spill map lists the readers.
+
+/// Set while one thread resolves the line's conflicts or runs an untracked
+/// op on it. Every other change to the word waits for it to clear.
+const LOCK: u32 = 1 << 31;
+/// Set exactly while the spill map holds the line's reader list.
+const SPILLED: u32 = 1 << 30;
+const TID_BITS: u32 = 10;
+const TID_MASK: u32 = (1 << TID_BITS) - 1;
+const WRITER_SHIFT: u32 = 2 * TID_BITS;
+
+/// How many transactional readers a line word names. One more moves all of
+/// the line's readers to the spill map.
+const INLINE_READERS: usize = 2;
+
+// The layout is fixed: the holder fields must fit below the spilled bit,
+// and the word's methods name the two reader fields one by one.
+const _: () = assert!(INLINE_READERS == 2 && TID_BITS * (1 + INLINE_READERS as u32) <= 30);
+
+/// The most threads a line word can name: a field holds `tid + 1`.
+pub(crate) const MAX_THREADS: usize = TID_MASK as usize;
+
+/// The shift of the `i`-th inline reader's field.
+#[inline]
+const fn reader_shift(i: usize) -> u32 {
+    TID_BITS * (INLINE_READERS - 1 - i) as u32
 }
 
-impl LineEntry {
-    fn is_empty(&self) -> bool {
-        self.writer.is_none() && self.readers.as_slice().is_empty()
+/// A line word's value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Word(u32);
+
+impl Word {
+    #[inline]
+    fn locked(self) -> bool {
+        self.0 & LOCK != 0
+    }
+
+    #[inline]
+    fn spilled(self) -> bool {
+        self.0 & SPILLED != 0
+    }
+
+    /// Whether any transaction holds the line. The lock bit is no holder.
+    #[inline]
+    fn held(self) -> bool {
+        self.0 & !LOCK != 0
+    }
+
+    #[inline]
+    fn field(self, shift: u32) -> Option<u32> {
+        match (self.0 >> shift) & TID_MASK {
+            0 => None,
+            f => Some(f - 1),
+        }
+    }
+
+    #[inline]
+    fn with_field(self, shift: u32, tid: Option<u32>) -> Self {
+        let f = tid.map_or(0, |t| t + 1);
+        Word(self.0 & !(TID_MASK << shift) | f << shift)
+    }
+
+    #[inline]
+    fn writer(self) -> Option<u32> {
+        self.field(WRITER_SHIFT)
+    }
+
+    #[inline]
+    fn reader(self, i: usize) -> Option<u32> {
+        self.field(reader_shift(i))
+    }
+
+    /// Whether the word can be changed without the lock bit: the word is
+    /// unlocked and the reader list is inline.
+    #[inline]
+    fn fast(self) -> bool {
+        self.0 & (LOCK | SPILLED) == 0
+    }
+
+    /// `self` with `me` registered as a reader, if that conflicts with
+    /// nobody: no other thread writes the line and an inline slot is free.
+    /// The readers stay packed at the front, so the first free slot follows
+    /// the last reader.
+    fn with_reader(self, me: u32) -> Option<Self> {
+        if !self.fast() || self.writer().is_some_and(|w| w != me) {
+            return None;
+        }
+        let free = (0..INLINE_READERS).find(|&i| self.reader(i).is_none())?;
+        Some(self.with_field(reader_shift(free), Some(me)))
+    }
+
+    /// `self` with `me` registered as the writer, if every holder the word
+    /// names is `me`.
+    fn with_writer(self, me: u32) -> Option<Self> {
+        let fields = [WRITER_SHIFT, reader_shift(0), reader_shift(1)];
+        if !self.fast()
+            || fields
+                .iter()
+                .any(|&s| self.field(s).is_some_and(|t| t != me))
+        {
+            return None;
+        }
+        Some(self.with_field(WRITER_SHIFT, Some(me)))
+    }
+
+    /// `self` without `me` among its readers, keeping the others in order.
+    fn without_reader(self, me: u32) -> Option<Self> {
+        if !self.fast() {
+            return None;
+        }
+        Some(match (self.reader(0), self.reader(1)) {
+            (Some(first), second) if first == me => self
+                .with_field(reader_shift(0), second)
+                .with_field(reader_shift(1), None),
+            (_, Some(second)) if second == me => self.with_field(reader_shift(1), None),
+            _ => self,
+        })
+    }
+
+    /// `self` without `me` as its writer.
+    fn without_writer(self, me: u32) -> Option<Self> {
+        if !self.fast() {
+            return None;
+        }
+        Some(match self.writer() {
+            Some(w) if w == me => self.with_field(WRITER_SHIFT, None),
+            _ => self,
+        })
     }
 }
 
-/// How many transactional readers a line entry stores without allocating.
-const INLINE_READERS: usize = 2;
-
-/// A line's transactional readers, in the order a `Vec` given the same
-/// pushes and removals would keep them (responder-wins blames the first
-/// live one). The first [`INLINE_READERS`] live in the entry itself, so
-/// registering and releasing a read allocate nothing; one more reader
-/// moves them all to a `Vec`, which stays until the entry is removed.
+/// A locked line's transactional readers (thread ids), in the order a
+/// `Vec` given the same pushes and removals would keep them
+/// (responder-wins blames the first live one). Up to [`INLINE_READERS`]
+/// come from the word's fields; one more moves them all to a `Vec`, which
+/// goes to the spill map at unlock and stays there until the line has no
+/// holder.
 #[derive(Debug)]
 enum Readers {
     Inline {
         len: u8,
-        slots: [Owner; INLINE_READERS],
+        slots: [u32; INLINE_READERS],
     },
-    Spilled(Vec<Owner>),
+    Spilled(Vec<u32>),
 }
 
 impl Default for Readers {
     fn default() -> Self {
-        const NOBODY: Owner = Owner { tid: 0, epoch: 0 };
         Readers::Inline {
             len: 0,
-            slots: [NOBODY; INLINE_READERS],
+            slots: [0; INLINE_READERS],
         }
     }
 }
 
 impl Readers {
-    fn as_slice(&self) -> &[Owner] {
+    fn as_slice(&self) -> &[u32] {
         match self {
             Readers::Inline { len, slots } => &slots[..usize::from(*len)],
             Readers::Spilled(v) => v,
         }
     }
 
-    fn push(&mut self, r: Owner) {
+    fn push(&mut self, tid: u32) {
         match self {
             Readers::Inline { len, slots } if usize::from(*len) < INLINE_READERS => {
-                slots[usize::from(*len)] = r;
+                slots[usize::from(*len)] = tid;
                 *len += 1;
             }
             Readers::Inline { slots, .. } => {
                 let mut spilled = Vec::with_capacity(2 * INLINE_READERS);
                 spilled.extend_from_slice(slots);
-                spilled.push(r);
+                spilled.push(tid);
                 *self = Readers::Spilled(spilled);
             }
-            Readers::Spilled(v) => v.push(r),
+            Readers::Spilled(v) => v.push(tid),
         }
     }
 
@@ -105,9 +232,9 @@ impl Readers {
         }
     }
 
-    /// Removes `r` if present, keeping the others in order.
-    fn remove(&mut self, r: Owner) {
-        let Some(i) = self.as_slice().iter().position(|&x| x == r) else {
+    /// Removes `tid` if present, keeping the others in order.
+    fn remove(&mut self, tid: u32) {
+        let Some(i) = self.as_slice().iter().position(|&x| x == tid) else {
             return;
         };
         match self {
@@ -122,31 +249,15 @@ impl Readers {
     }
 }
 
-/// log2 of the shard count. Only tracked accesses, untracked stores,
-/// untracked reads of held lines and releases lock a shard. Of 64, 256 and
-/// 1024 shards, 256 was the most that kept TPC-C's peak RSS within 2 % of
-/// 64's: every shard a run touches keeps its small hash table, so 1024 cost
-/// about 5 % more RSS than 256 (DESIGN.md §2).
-const SHARD_BITS: u32 = 8;
-const SHARD_COUNT: usize = 1 << SHARD_BITS;
-
-/// One directory shard, exactly one 64-byte cache line: the lock and the
-/// map header travel together, and no two shards share a line, so threads
-/// working different shards never false-share.
-#[derive(Debug, Default)]
-#[repr(align(64))]
-struct Shard {
-    map: Mutex<IdMap<u32, LineEntry>>,
-}
-
 #[derive(Debug)]
 pub(crate) struct Directory {
-    shards: Box<[Shard]>,
-    /// One byte per simulated line: 1 while the line has a map entry, 0
-    /// otherwise. Stored (SeqCst, under the line's shard lock) only when
-    /// an entry is created or removed. Untracked reads of a line whose
-    /// byte is 0 skip the shard entirely.
-    held: Box<[AtomicU8]>,
+    /// One word per simulated line.
+    words: Box<[AtomicU32]>,
+    /// The reader lists of spilled lines. A line's list is read and
+    /// written only by the thread holding its word's lock bit. Lines spill
+    /// rarely (a third concurrent transactional reader) and are touched
+    /// only on the locked path, so one mutex serves them all.
+    spill: Mutex<IdMap<u32, Vec<u32>>>,
 }
 
 /// How an untracked (non-transactional) access behaves.
@@ -156,44 +267,123 @@ pub(crate) enum UntrackedKind {
     Write,
 }
 
+/// A line whose word has its lock bit set: its holders, decoded from the
+/// word (and the spill map), are edited in place and encoded back when the
+/// guard drops, which unlocks the word.
+///
+/// A thread id in a locked word, or in the spill list of one, names that
+/// thread's current transaction: `ThreadCtx::txn` releases every line
+/// before it returns, and a release cannot change a locked word. So the
+/// holders' epochs come from the [`TxTable`] when they are needed.
+#[derive(Debug)]
+struct LineGuard<'d> {
+    dir: &'d Directory,
+    line: LineId,
+    writer: Option<u32>,
+    readers: Readers,
+}
+
+impl Drop for LineGuard<'_> {
+    fn drop(&mut self) {
+        let mut w = Word(0).with_field(WRITER_SHIFT, self.writer);
+        match std::mem::take(&mut self.readers) {
+            Readers::Inline { len, slots } => {
+                for (i, &tid) in slots[..usize::from(len)].iter().enumerate() {
+                    w = w.with_field(reader_shift(i), Some(tid));
+                }
+            }
+            Readers::Spilled(list) => {
+                if self.writer.is_some() || !list.is_empty() {
+                    self.dir.spill.lock().insert(self.line.0, list);
+                    w.0 |= SPILLED;
+                }
+            }
+        }
+        // Release pairs with the acquire of whoever next reads the word (a
+        // locker's or fast path's compare-exchange, an untracked read's
+        // load): it then sees all this section did, such as an untracked
+        // op's raw store or the flush of a commit it waited out.
+        self.dir.word(self.line).store(w.0, Ordering::Release);
+    }
+}
+
 impl Directory {
     /// A directory for a memory of `lines` cache lines.
     pub(crate) fn new(lines: usize) -> Self {
-        let mut shards = Vec::with_capacity(SHARD_COUNT);
-        shards.resize_with(SHARD_COUNT, Shard::default);
         Self {
-            shards: shards.into_boxed_slice(),
-            held: (0..lines).map(|_| AtomicU8::new(0)).collect(),
+            words: (0..lines).map(|_| AtomicU32::new(0)).collect(),
+            spill: Mutex::default(),
         }
     }
 
     #[inline]
-    fn lock_shard(&self, line: LineId) -> parking_lot::MutexGuard<'_, IdMap<u32, LineEntry>> {
-        self.shards[shard_index(line)].map.lock()
+    fn word(&self, line: LineId) -> &AtomicU32 {
+        &self.words[line.0 as usize]
     }
 
+    /// Replaces `line`'s word by `change(word)` with one compare-exchange,
+    /// retrying while other fast paths move the word. Returns `false`,
+    /// having changed nothing, once `change` declines the current value.
+    /// `change` sees only the value, so a word that went away and came
+    /// back in between is as good as one that never moved.
     #[inline]
-    fn held(&self, line: LineId) -> &AtomicU8 {
-        &self.held[line.0 as usize]
-    }
-
-    /// `line`'s entry in its (locked) shard `map`, created — and the line's
-    /// held byte set — if the line has none.
-    fn entry<'m>(&self, map: &'m mut IdMap<u32, LineEntry>, line: LineId) -> &'m mut LineEntry {
-        match map.entry(line.0) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) => {
-                self.held(line).store(1, Ordering::SeqCst);
-                e.insert(LineEntry::default())
+    fn try_fast(&self, line: LineId, change: impl Fn(Word) -> Option<Word>) -> bool {
+        let word = self.word(line);
+        let mut cur = word.load(Ordering::SeqCst);
+        loop {
+            let Some(new) = change(Word(cur)) else {
+                return false;
+            };
+            if new.0 == cur {
+                return true;
+            }
+            match word.compare_exchange_weak(cur, new.0, Ordering::SeqCst, Ordering::SeqCst) {
+                Ok(_) => return true,
+                Err(now) => cur = now,
             }
         }
     }
 
-    /// Removes `line`'s emptied entry from its (locked) shard `map` and
-    /// clears the line's held byte.
-    fn remove_entry(&self, map: &mut IdMap<u32, LineEntry>, line: LineId) {
-        map.remove(&line.0);
-        self.held(line).store(0, Ordering::SeqCst);
+    /// Sets `line`'s lock bit and decodes its holders. A locked word's
+    /// holder runs no yield point before it unlocks, so a serialized run
+    /// never waits here, and a free-running thread waits with
+    /// `spin_loop` and then OS yields, never through the scheduler.
+    fn lock(&self, line: LineId) -> LineGuard<'_> {
+        let word = self.word(line);
+        let mut spins = 0u32;
+        let mut cur = word.load(Ordering::SeqCst);
+        let w = loop {
+            if Word(cur).locked() {
+                spins += 1;
+                if spins < 16 {
+                    std::hint::spin_loop();
+                } else {
+                    std::thread::yield_now();
+                }
+                cur = word.load(Ordering::SeqCst);
+                continue;
+            }
+            match word.compare_exchange_weak(cur, cur | LOCK, Ordering::SeqCst, Ordering::SeqCst) {
+                Ok(_) => break Word(cur),
+                Err(now) => cur = now,
+            }
+        };
+        let readers = if w.spilled() {
+            let list = self.spill.lock().remove(&line.0);
+            Readers::Spilled(list.expect("a spilled line has a reader list"))
+        } else {
+            let mut readers = Readers::default();
+            for tid in (0..INLINE_READERS).map_while(|i| w.reader(i)) {
+                readers.push(tid);
+            }
+            readers
+        };
+        LineGuard {
+            dir: self,
+            line,
+            writer: w.writer(),
+            readers,
+        }
     }
 
     /// Resolves a conflict between `me` and the holder `other`, per policy.
@@ -203,10 +393,11 @@ impl Directory {
     fn resolve_tx_conflict(
         table: &TxTable,
         policy: ConflictPolicy,
-        other: Owner,
+        other: u32,
         line: LineId,
         me: Owner,
     ) -> Result<(), Abort> {
+        let other = table.current(other);
         match table.doom_or_classify(other, policy, line, me.tid) {
             Ok(DoomOutcome::Dead) | Ok(DoomOutcome::Stale) => Ok(()),
             Ok(DoomOutcome::Committing) => {
@@ -235,16 +426,18 @@ impl Directory {
         table: &TxTable,
         policy: ConflictPolicy,
     ) -> Result<(), Abort> {
-        let mut map = self.lock_shard(line);
-        let entry = self.entry(&mut map, line);
-        if let Some(other) = entry.writer {
-            if other != me {
+        if self.try_fast(line, |w| w.with_reader(me.tid)) {
+            return Ok(());
+        }
+        let mut g = self.lock(line);
+        if let Some(other) = g.writer {
+            if other != me.tid {
                 Self::resolve_tx_conflict(table, policy, other, line, me)?;
-                entry.writer = None;
+                g.writer = None;
             }
         }
-        debug_assert!(!entry.readers.as_slice().contains(&me));
-        entry.readers.push(me);
+        debug_assert!(!g.readers.as_slice().contains(&me.tid));
+        g.readers.push(me.tid);
         Ok(())
     }
 
@@ -262,31 +455,33 @@ impl Directory {
         table: &TxTable,
         policy: ConflictPolicy,
     ) -> Result<(), Abort> {
-        let mut map = self.lock_shard(line);
-        let entry = self.entry(&mut map, line);
-        if let Some(other) = entry.writer {
-            if other != me {
+        if self.try_fast(line, |w| w.with_writer(me.tid)) {
+            return Ok(());
+        }
+        let mut g = self.lock(line);
+        if let Some(other) = g.writer {
+            if other != me.tid {
                 Self::resolve_tx_conflict(table, policy, other, line, me)?;
-                entry.writer = None;
+                g.writer = None;
             }
         }
         // Doom / defer to readers other than me.
         let mut i = 0;
-        while let Some(&r) = entry.readers.as_slice().get(i) {
-            if r == me {
+        while let Some(&r) = g.readers.as_slice().get(i) {
+            if r == me.tid {
                 i += 1;
                 continue;
             }
             Self::resolve_tx_conflict(table, policy, r, line, me)?;
-            entry.readers.swap_remove(i);
+            g.readers.swap_remove(i);
         }
-        entry.writer = Some(me);
+        g.writer = Some(me.tid);
         Ok(())
     }
 
     /// Performs an untracked access to `line`: resolves conflicts with
     /// transactional holders, then runs `op` (the raw memory operation)
-    /// **while still holding the line's shard lock**, so the operation is
+    /// **while the line's word is still locked**, so the operation is
     /// linearized against transactional acquisitions of the same line.
     ///
     /// Untracked writes doom every holder; untracked reads doom a live
@@ -302,53 +497,68 @@ impl Directory {
         table: &TxTable,
         op: impl FnOnce() -> R,
     ) -> R {
-        // Fast path: an untracked READ of a line whose held byte is 0 cannot
-        // conflict with anything. No transaction has registered the line yet
-        // (its writes are still buffered, so the read linearizes before the
-        // registration), or the last holder released it, which happens
-        // after any commit flush. Stores must always take the slow path:
-        // their doom of registered holders has to be serialized with
-        // registration.
-        if kind == UntrackedKind::Read && self.held(line).load(Ordering::SeqCst) == 0 {
+        // Fast path: an untracked READ of a line no transaction holds
+        // cannot conflict with anything. No transaction has registered the
+        // line yet (its writes are still buffered, so the read linearizes
+        // before the registration), or the last holder released it, which
+        // happens after any commit flush. Stores must always lock: their
+        // doom of registered holders has to be serialized with registration.
+        if kind == UntrackedKind::Read && !Word(self.word(line).load(Ordering::SeqCst)).held() {
             return op();
         }
-        let mut map = self.lock_shard(line);
-        if let Some(entry) = map.get_mut(&line.0) {
-            if let Some(other) = entry.writer {
-                let doom_it = kind == UntrackedKind::Write || reads_doom;
-                match if doom_it {
-                    table.note_doom(other, line, doomer);
-                    table.doom(other)
-                } else {
-                    table.classify(other)
-                } {
-                    DoomOutcome::Dead | DoomOutcome::Stale => {
-                        if doom_it {
-                            entry.writer = None;
-                        }
-                    }
-                    DoomOutcome::Committing => {
-                        table.wait_while_committing(other);
-                        entry.writer = None;
-                    }
-                    // reads_doom disabled: the writer stays speculative and
-                    // the untracked read observes the pre-transaction value,
-                    // which is exactly what buffered writes imply.
-                    DoomOutcome::Live => {}
-                }
-            }
-            if kind == UntrackedKind::Write {
-                for &r in entry.readers.as_slice() {
-                    table.note_doom(r, line, doomer);
-                    let _ = table.doom(r);
-                }
-                entry.readers = Readers::default();
-            }
-            if entry.is_empty() {
-                self.remove_entry(&mut map, line);
+        // A store to a line no transaction holds has no holder to doom: it
+        // locks the word straight from 0, with a CAS tried before any load
+        // of the word, runs the store and unlocks. Building a KV store is
+        // almost all such stores, and the locked path's load, decode and
+        // re-encode made it about 20 % slower.
+        if kind == UntrackedKind::Write {
+            let word = self.word(line);
+            if word
+                .compare_exchange(0, LOCK, Ordering::SeqCst, Ordering::SeqCst)
+                .is_ok()
+            {
+                let result = op();
+                // Release, as in `LineGuard::drop`.
+                word.store(0, Ordering::Release);
+                return result;
             }
         }
-        op()
+        let mut g = self.lock(line);
+        if let Some(tid) = g.writer {
+            let other = table.current(tid);
+            let doom_it = kind == UntrackedKind::Write || reads_doom;
+            match if doom_it {
+                table.note_doom(other, line, doomer);
+                table.doom(other)
+            } else {
+                table.classify(other)
+            } {
+                DoomOutcome::Dead | DoomOutcome::Stale => {
+                    if doom_it {
+                        g.writer = None;
+                    }
+                }
+                DoomOutcome::Committing => {
+                    table.wait_while_committing(other);
+                    g.writer = None;
+                }
+                // reads_doom disabled: the writer stays speculative and
+                // the untracked read observes the pre-transaction value,
+                // which is exactly what buffered writes imply.
+                DoomOutcome::Live => {}
+            }
+        }
+        if kind == UntrackedKind::Write {
+            for &r in g.readers.as_slice() {
+                let r = table.current(r);
+                table.note_doom(r, line, doomer);
+                let _ = table.doom(r);
+            }
+            g.readers = Readers::default();
+        }
+        let result = op();
+        drop(g);
+        result
     }
 
     /// Conflict-resolution-only variant of [`Self::untracked_op`].
@@ -365,8 +575,8 @@ impl Directory {
     }
 
     /// Removes `me`'s registrations for the given lines (commit or abort
-    /// cleanup). Idempotent: entries already cleared by conflicting accesses
-    /// are skipped.
+    /// cleanup). Idempotent: registrations already cleared by conflicting
+    /// accesses are skipped.
     pub(crate) fn release<'a>(
         &self,
         me: Owner,
@@ -374,44 +584,41 @@ impl Directory {
         write_lines: impl Iterator<Item = &'a LineId>,
     ) {
         for &line in read_lines {
-            let mut map = self.lock_shard(line);
-            if let Some(entry) = map.get_mut(&line.0) {
-                entry.readers.remove(me);
-                if entry.is_empty() {
-                    self.remove_entry(&mut map, line);
-                }
+            if !self.try_fast(line, |w| w.without_reader(me.tid)) {
+                self.lock(line).readers.remove(me.tid);
             }
         }
         for &line in write_lines {
-            let mut map = self.lock_shard(line);
-            if let Some(entry) = map.get_mut(&line.0) {
-                if entry.writer == Some(me) {
-                    entry.writer = None;
-                }
-                if entry.is_empty() {
-                    self.remove_entry(&mut map, line);
+            if !self.try_fast(line, |w| w.without_writer(me.tid)) {
+                let mut g = self.lock(line);
+                if g.writer == Some(me.tid) {
+                    g.writer = None;
                 }
             }
         }
     }
 
-    /// Number of lines with live entries (test/debug aid).
+    /// Number of lines some transaction holds (test/debug aid).
     #[cfg(test)]
     pub(crate) fn live_lines(&self) -> usize {
-        self.shards.iter().map(|s| s.map.lock().len()).sum()
+        self.words
+            .iter()
+            .filter(|w| Word(w.load(Ordering::SeqCst)).held())
+            .count()
     }
 }
 
-/// The shard holding `line`: the top [`SHARD_BITS`] of its Fibonacci hash,
-/// so sequentially allocated neighbours land on different shards. The
-/// in-shard maps hash with [`crate::util::IdHasher`], which keys off lower
-/// bits of the same product.
-#[inline]
-fn shard_index(line: LineId) -> usize {
-    (fib_hash(u64::from(line.0)) >> (64 - SHARD_BITS)) as usize
-}
-
 impl TxTable {
+    /// The transaction `tid` runs now, or ran last. For a thread named in a
+    /// locked line word this is the transaction that holds the line (see
+    /// [`LineGuard`]).
+    fn current(&self, tid: u32) -> Owner {
+        Owner {
+            tid,
+            epoch: crate::slots::epoch_of(self.load(tid)),
+        }
+    }
+
     /// Policy-dispatching doom: under `RequesterWins` dooms the holder
     /// (noting `line`/`requester` for attribution first); under
     /// `ResponderWins` reports `Err(())` if the holder is live (the
@@ -604,23 +811,6 @@ mod tests {
     }
 
     #[test]
-    fn stale_epoch_entries_are_ignored() {
-        let dir = Directory::new(16);
-        let table = TxTable::new(4);
-        let line = LineId(5);
-        table.begin(0, 1);
-        dir.acquire_write(line, owner(0, 1), &table, ConflictPolicy::RequesterWins)
-            .unwrap();
-        // Thread 0 moves on to epoch 2 without cleanup (simulating a lost
-        // race: cleanup happens later).
-        table.begin(0, 2);
-        table.begin(1, 1);
-        dir.acquire_write(line, owner(1, 1), &table, ConflictPolicy::RequesterWins)
-            .unwrap();
-        assert!(!table.is_doomed(owner(0, 2)), "new epoch untouched");
-    }
-
-    #[test]
     fn reacquiring_own_write_line_is_idempotent() {
         let dir = Directory::new(16);
         let table = TxTable::new(4);
@@ -636,24 +826,18 @@ mod tests {
     }
 
     #[test]
-    fn shard_is_exactly_one_cache_line() {
-        assert_eq!(std::mem::size_of::<Shard>(), 64);
-        assert_eq!(std::mem::align_of::<Shard>(), 64);
-    }
-
-    #[test]
-    fn lines_sharing_a_shard_spread_over_hash_tags() {
-        // hashbrown filters probes on the top 7 hash bits; if those repeated
-        // the shard-selecting bits, one shard's lines would all share a tag.
-        use std::hash::BuildHasher;
-        let build = std::hash::BuildHasherDefault::<crate::util::IdHasher>::default();
-        let lines: Vec<u32> = (0..1 << 16)
-            .filter(|&l| shard_index(LineId(l)) == 3)
-            .collect();
-        assert!(lines.len() > 128, "shard 3 got {} lines", lines.len());
-        let tags: std::collections::HashSet<u64> =
-            lines.iter().map(|&l| build.hash_one(l) >> 57).collect();
-        assert!(tags.len() > 100, "only {} distinct tags", tags.len());
+    fn every_field_names_the_highest_thread_id() {
+        let top = MAX_THREADS as u32 - 1;
+        let shifts = [WRITER_SHIFT, reader_shift(0), reader_shift(1)];
+        for &s in &shifts {
+            let w = Word(LOCK | SPILLED).with_field(s, Some(top));
+            assert_eq!(w.field(s), Some(top));
+            assert!(w.locked() && w.spilled());
+            for &other in shifts.iter().filter(|&&o| o != s) {
+                assert_eq!(w.field(other), None);
+            }
+            assert_eq!(w.with_field(s, None), Word(LOCK | SPILLED));
+        }
     }
 
     #[test]
@@ -706,85 +890,113 @@ mod tests {
         );
     }
 
-    /// Asserts that each of `lines` has its held byte set exactly when the
-    /// directory has an entry for it.
-    fn assert_held_matches_entries(dir: &Directory, lines: &[LineId], step: &str) {
-        for &line in lines {
-            let has_entry = dir.lock_shard(line).contains_key(&line.0);
-            assert_eq!(
-                dir.held(line).load(Ordering::SeqCst),
-                u8::from(has_entry),
-                "after {step}: line {}'s held byte disagrees with its entry",
-                line.0
-            );
-        }
-    }
-
-    fn held_lines(dir: &Directory) -> usize {
-        dir.held
-            .iter()
-            .filter(|b| b.load(Ordering::SeqCst) != 0)
-            .count()
+    /// `line`'s writer and readers, decoded from its unlocked word and, if
+    /// the word says so, the spill map. Asserts the word's invariants on
+    /// the way: it is 0 exactly when the line has no holder, and its
+    /// spilled bit is set exactly when the spill map holds the line.
+    fn holders(dir: &Directory, line: LineId, step: &str) -> (Option<u32>, Vec<u32>) {
+        let w = Word(dir.word(line).load(Ordering::SeqCst));
+        assert!(!w.locked(), "after {step}: line {} is locked", line.0);
+        let listed = dir.spill.lock().get(&line.0).cloned();
+        assert_eq!(
+            w.spilled(),
+            listed.is_some(),
+            "after {step}: line {}'s spilled bit disagrees with the spill map",
+            line.0
+        );
+        let readers = match listed {
+            Some(list) => {
+                assert_eq!((w.reader(0), w.reader(1)), (None, None));
+                list
+            }
+            None => (0..INLINE_READERS).map_while(|i| w.reader(i)).collect(),
+        };
+        assert_eq!(
+            w.0 == 0,
+            w.writer().is_none() && readers.is_empty(),
+            "after {step}: line {}'s word {:#x} disagrees with its holders",
+            line.0,
+            w.0
+        );
+        (w.writer(), readers)
     }
 
     #[test]
-    fn held_byte_is_set_exactly_while_the_line_has_an_entry() {
+    fn word_is_zero_exactly_while_the_line_has_no_holder() {
         let dir = Directory::new(16);
         let table = TxTable::new(4);
         let rw = ConflictPolicy::RequesterWins;
         let lines = [LineId(1), LineId(2), LineId(3), LineId(4)];
         let [read_line, write_line, upgraded, dead_writer_line] = lines;
-        let check = |step: &str| assert_held_matches_entries(&dir, &lines, step);
-        check("nothing");
+        let check = |step: &str, expected: [(Option<u32>, &[u32]); 4]| {
+            for (&line, (writer, readers)) in lines.iter().zip(expected) {
+                assert_eq!(
+                    holders(&dir, line, step),
+                    (writer, readers.to_vec()),
+                    "after {step}: line {}",
+                    line.0
+                );
+            }
+        };
+        let none = (None, &[][..]);
+        check("nothing", [none; 4]);
 
         table.begin(0, 1);
         let t0 = owner(0, 1);
         dir.acquire_read(read_line, t0, &table, rw).unwrap();
-        check("acquire_read");
+        check("acquire_read", [(None, &[0]), none, none, none]);
         dir.acquire_write(write_line, t0, &table, rw).unwrap();
-        check("acquire_write");
         dir.acquire_read(upgraded, t0, &table, rw).unwrap();
         dir.acquire_write(upgraded, t0, &table, rw).unwrap();
-        check("same-transaction upgrade");
+        let t0_holds = [(None, &[0][..]), (Some(0), &[]), (Some(0), &[0]), none];
+        check("acquire_write and a same-transaction upgrade", t0_holds);
 
-        // A responder-wins loser leaves the live holder's entry in place.
+        // A responder-wins loser leaves the live holder in place, and its
+        // release touches no other thread's registration.
         table.begin(1, 1);
         let t1 = owner(1, 1);
         let lost = dir.acquire_write(write_line, t1, &table, ConflictPolicy::ResponderWins);
         assert_eq!(lost, Err(Abort::Conflict));
         assert!(!table.is_doomed(t0));
-        check("responder-wins self-abort");
-        dir.release(t1, [].iter(), [write_line].iter());
-        check("release of the loser's write line");
+        check("responder-wins self-abort", t0_holds);
+        dir.release(t1, [read_line].iter(), [write_line, upgraded].iter());
+        check("release of lines the loser never got", t0_holds);
 
         // An untracked store drains t0 as both reader and writer of the
         // upgraded line.
         dir.untracked_access(upgraded, UntrackedKind::Write, true, 3, &table);
         assert!(table.is_doomed(t0));
-        check("untracked write");
+        check(
+            "untracked write",
+            [(None, &[0]), (Some(0), &[]), none, none],
+        );
 
         // An untracked read with reads_doom off leaves a dead writer; with
-        // it on, it clears the dead writer and the entry goes.
+        // it on, it clears the dead writer and the word goes to 0.
         table.begin(2, 1);
         let t2 = owner(2, 1);
         dir.acquire_write(dead_writer_line, t2, &table, rw).unwrap();
         let _ = table.doom(t2);
         dir.untracked_access(dead_writer_line, UntrackedKind::Read, false, 3, &table);
-        check("untracked read leaving a dead writer");
-        assert_eq!(dir.held(dead_writer_line).load(Ordering::SeqCst), 1);
+        check(
+            "untracked read leaving a dead writer",
+            [(None, &[0]), (Some(0), &[]), none, (Some(2), &[])],
+        );
         dir.untracked_access(dead_writer_line, UntrackedKind::Read, true, 3, &table);
-        check("untracked read clearing a dead writer");
-        assert_eq!(dir.held(dead_writer_line).load(Ordering::SeqCst), 0);
+        check(
+            "untracked read clearing a dead writer",
+            [(None, &[0]), (Some(0), &[]), none, none],
+        );
 
         dir.release(
             t0,
             [read_line, upgraded].iter(),
             [write_line, upgraded].iter(),
         );
-        check("release of read and write lines");
+        check("release of read and write lines", [none; 4]);
         dir.release(t2, [].iter(), [dead_writer_line].iter());
-        check("release of an already cleared line");
-        assert_eq!((dir.live_lines(), held_lines(&dir)), (0, 0));
+        check("release of an already cleared line", [none; 4]);
+        assert_eq!(dir.live_lines(), 0);
     }
 
     #[test]
@@ -800,6 +1012,7 @@ mod tests {
                 table.begin(r.tid, 1);
                 dir.acquire_read(line, r, &table, policy).unwrap();
             }
+            assert_eq!(holders(&dir, line, "spill"), (None, vec![0, 1, 2, 3]));
             table.begin(READERS, 1);
             (dir, table, readers, owner(READERS, 1))
         };
@@ -808,7 +1021,7 @@ mod tests {
                 dir.release(r, [line].iter(), [].iter());
             }
             dir.release(writer, [].iter(), [line].iter());
-            assert_eq!((dir.live_lines(), held_lines(dir)), (0, 0));
+            assert_eq!(holders(dir, line, "release"), (None, vec![]));
         };
 
         // Requester-wins: the writer dooms all four and is named by each.
@@ -820,6 +1033,8 @@ mod tests {
             assert_eq!(table.take_conflict(r), Some((line.0, writer.tid)));
         }
         assert!(!table.is_doomed(writer));
+        // The emptied list stays spilled while the writer holds the line.
+        assert_eq!(holders(&dir, line, "write"), (Some(writer.tid), vec![]));
         release_all(&dir, &readers, writer);
 
         // Responder-wins: the writer walks past the dead readers and
@@ -833,6 +1048,9 @@ mod tests {
         assert_eq!(res, Err(Abort::Conflict));
         assert!(!table.is_doomed(live[0]));
         assert_eq!(table.take_conflict(writer), Some((line.0, live[0].tid)));
+        // Releases keep the remaining readers' order.
+        dir.release(readers[1], [line].iter(), [].iter());
+        assert_eq!(holders(&dir, line, "release"), (None, vec![3, 2]));
         release_all(&dir, &readers, writer);
 
         // An untracked store dooms all four too.
@@ -842,7 +1060,86 @@ mod tests {
             assert!(table.is_doomed(r), "reader {} survived", r.tid);
             assert_eq!(table.take_conflict(r), Some((line.0, 7)));
         }
-        assert_eq!((dir.live_lines(), held_lines(&dir)), (0, 0));
+        assert_eq!(holders(&dir, line, "untracked write"), (None, vec![]));
         release_all(&dir, &readers, writer);
+    }
+
+    #[test]
+    fn untracked_ops_run_while_the_word_is_locked() {
+        let dir = Directory::new(16);
+        let table = TxTable::new(4);
+        let line = LineId(6);
+        let locked = || Word(dir.word(line).load(Ordering::SeqCst)).locked();
+        dir.untracked_op(line, UntrackedKind::Write, true, 3, &table, || {
+            assert!(locked(), "store to an unheld line");
+        });
+        table.begin(0, 1);
+        dir.acquire_read(line, owner(0, 1), &table, ConflictPolicy::RequesterWins)
+            .unwrap();
+        dir.untracked_op(line, UntrackedKind::Read, true, 3, &table, || {
+            assert!(locked(), "load of a held line");
+        });
+        dir.untracked_op(line, UntrackedKind::Write, true, 3, &table, || {
+            assert!(locked(), "store to a held line");
+        });
+        assert!(!locked());
+    }
+
+    /// Holds `line`'s lock bit inside an untracked `kind` op while a second
+    /// thread, started inside it, runs `change`, and asserts that `change`
+    /// finishes only after the word is unlocked. The 50-ms pause only gives
+    /// a `change` that ignores the lock bit time to finish and be caught.
+    fn assert_waits_for_the_lock(
+        dir: &Directory,
+        table: &TxTable,
+        line: LineId,
+        kind: UntrackedKind,
+        change: impl FnOnce() + Send,
+    ) {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Barrier;
+        let (started, done) = (Barrier::new(2), AtomicBool::new(false));
+        std::thread::scope(|s| {
+            dir.untracked_op(line, kind, false, 3, table, || {
+                s.spawn(|| {
+                    started.wait();
+                    change();
+                    done.store(true, Ordering::SeqCst);
+                });
+                started.wait();
+                std::thread::sleep(std::time::Duration::from_millis(50));
+                assert!(!done.load(Ordering::SeqCst), "a locked word changed");
+            });
+        });
+        assert!(done.load(Ordering::SeqCst));
+    }
+
+    #[test]
+    fn fast_paths_wait_for_a_locked_word() {
+        let dir = Directory::new(16);
+        let table = TxTable::new(4);
+        let rw = ConflictPolicy::RequesterWins;
+        let (line, other) = (LineId(2), LineId(3));
+        table.begin(0, 1);
+        table.begin(1, 1);
+        let (t0, t1) = (owner(0, 1), owner(1, 1));
+        assert_waits_for_the_lock(&dir, &table, line, UntrackedKind::Write, || {
+            dir.acquire_read(line, t0, &table, rw).unwrap();
+        });
+        assert_waits_for_the_lock(&dir, &table, other, UntrackedKind::Write, || {
+            dir.acquire_write(other, t1, &table, rw).unwrap();
+        });
+        assert_eq!(
+            (holders(&dir, line, "read"), holders(&dir, other, "write")),
+            ((None, vec![0]), (Some(1), vec![]))
+        );
+        assert_waits_for_the_lock(&dir, &table, line, UntrackedKind::Read, || {
+            dir.release(t0, [line].iter(), [].iter());
+        });
+        assert_waits_for_the_lock(&dir, &table, other, UntrackedKind::Read, || {
+            dir.release(t1, [].iter(), [other].iter());
+        });
+        assert!(!table.is_doomed(t0) && !table.is_doomed(t1));
+        assert_eq!(dir.live_lines(), 0);
     }
 }

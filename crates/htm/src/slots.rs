@@ -2,9 +2,10 @@
 //!
 //! Every simulated hardware thread owns one slot whose word packs
 //! `(epoch << 3) | state`. The epoch increments at each transaction begin,
-//! so a stale directory entry can never doom a *later* transaction from the
-//! same thread (ABA protection). All cross-thread transitions go through
-//! CAS; the owning thread's transitions race only with dooming.
+//! so a doom or conflict note aimed at one transaction can never land on a
+//! *later* transaction from the same thread (ABA protection). All
+//! cross-thread transitions go through CAS; the owning thread's transitions
+//! race only with dooming.
 //!
 //! State machine (self = owning thread, any = any thread):
 //!
@@ -60,7 +61,7 @@ pub(crate) enum DoomOutcome {
     /// the flush to complete before touching the line.
     Committing,
     /// The slot now belongs to a different epoch or is inactive/committed —
-    /// the directory entry was stale; treat the line as unowned.
+    /// the holder is done with the line; treat the line as unowned.
     Stale,
     /// The owner is live (`Active`/`Suspended`). Only returned by
     /// [`TxTable::classify`]; `doom` always resolves live owners to `Dead`.

@@ -379,8 +379,8 @@ impl<'h> ThreadCtx<'h> {
                     self.stats.on_commit(kind);
                     // The commit window itself (Committing → flush →
                     // Committed) deliberately contains no yield point:
-                    // peers observing `Committing` spin it out under a
-                    // directory shard lock, which a serialized scheduler
+                    // peers observing `Committing` spin it out holding a
+                    // line word's lock bit, which a serialized scheduler
                     // could never resolve if a switch landed inside.
                     self.htm.sched.yield_point(self.tid, YieldKind::TxCommit);
                     return Ok(value);

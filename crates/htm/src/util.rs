@@ -12,13 +12,12 @@ pub(crate) fn fib_hash(index: u64) -> u64 {
 }
 
 /// A cheap hasher for the crate's own `u32` indices (lines, cells), used by
-/// the directory shards and the transaction footprints in place of SipHash.
+/// the directory's spill map and the transaction footprints in place of
+/// SipHash.
 ///
 /// `finish` rotates the Fibonacci product by 32 bits, so hashbrown's bucket
-/// index (the low bits) and its 7-bit control tag (the top bits) both come
-/// from product bits *below* the top byte that picks a directory shard.
-/// Without the rotation every line in a shard would carry the same tag and
-/// the tag filter would match every probed slot.
+/// index (the low bits) comes from the product's well-mixed top half: a
+/// product's low bits depend only on the index's low bits.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct IdHasher(u64);
 

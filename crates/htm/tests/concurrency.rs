@@ -217,9 +217,9 @@ fn writer_doomed_by_untracked_store_never_commits_its_buffer() {
 
 #[test]
 fn many_threads_alloc_and_use_disjoint_regions() {
-    // Each thread owns whole lines, so threads meet only on directory
-    // shards, never on a line: no multi-line transaction may ever abort on
-    // a conflict.
+    // Each thread owns whole lines, so threads never meet on a line (only,
+    // at most, on a host cache line of line words): no multi-line
+    // transaction may ever abort on a conflict.
     const THREADS: usize = 8;
     const LINES: usize = 6;
     const ROUNDS: u64 = 1_000;
@@ -257,4 +257,101 @@ fn many_threads_alloc_and_use_disjoint_regions() {
             });
         }
     });
+}
+
+#[test]
+fn contended_line_words_keep_audits_transfers_and_untracked_adds_exact() {
+    // Six threads on the four lines of eight accounts. Audits read every
+    // account, yielding the CPU between lines, so a line often has three
+    // or more concurrent readers and spills. Transfers move money between
+    // accounts and rewrite a counter that shares line 0 with two accounts,
+    // so an untracked fetch_add of the counter that fails to doom a
+    // transfer holding the line is lost when the transfer commits.
+    const THREADS: usize = 6;
+    const LINES: usize = 4;
+    const PER_LINE: usize = 2;
+    const ACCOUNTS: usize = LINES * PER_LINE;
+    const OPS: usize = 300;
+    const TOTAL: u64 = ACCOUNTS as u64 * 100;
+
+    let htm = Htm::new(
+        HtmConfig {
+            capacity: CapacityProfile::UNBOUNDED,
+            max_threads: THREADS,
+            ..HtmConfig::default()
+        },
+        (LINES + 1) * 8,
+    );
+    let region = htm.memory().alloc_line_aligned(LINES * 8);
+    let account = |i: usize| region.cell(i / PER_LINE * 8 + i % PER_LINE);
+    let counter = region.cell(7);
+    {
+        let d = htm.direct(0);
+        for i in 0..ACCOUNTS {
+            d.store(account(i), 100);
+        }
+    }
+    let adds = std::sync::atomic::AtomicU64::new(0);
+
+    std::thread::scope(|s| {
+        for tid in 0..THREADS {
+            let (htm, adds) = (&htm, &adds);
+            s.spawn(move || {
+                let mut ctx = htm.thread(tid);
+                let mut seed = (tid as u64 + 1) * 0x9E37_79B9;
+                let mut next = move || {
+                    seed ^= seed << 13;
+                    seed ^= seed >> 7;
+                    seed ^= seed << 17;
+                    seed
+                };
+                for op in 0..OPS {
+                    match (op + tid) % 3 {
+                        0 => {
+                            let sum = retry(&mut ctx, TxKind::Htm, |tx| {
+                                let mut sum = 0;
+                                for i in 0..ACCOUNTS {
+                                    if i % PER_LINE == 0 {
+                                        std::thread::yield_now();
+                                    }
+                                    sum += tx.read(account(i))?;
+                                }
+                                Ok(sum)
+                            });
+                            assert_eq!(sum, TOTAL, "torn audit");
+                        }
+                        1 => {
+                            let from = account(next() as usize % ACCOUNTS);
+                            let to = account(next() as usize % ACCOUNTS);
+                            let amt = next() % 10;
+                            retry(&mut ctx, TxKind::Htm, |tx| {
+                                let c = tx.read(counter)?;
+                                tx.write(counter, c)?;
+                                let f = tx.read(from)?;
+                                if f < amt || from == to {
+                                    return Ok(());
+                                }
+                                let t = tx.read(to)?;
+                                tx.write(from, f - amt)?;
+                                tx.write(to, t + amt)
+                            });
+                        }
+                        _ => {
+                            ctx.direct().fetch_add(counter, 1);
+                            adds.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        }
+                    }
+                }
+            });
+        }
+    });
+
+    let d = htm.direct(0);
+    let total: u64 = (0..ACCOUNTS).map(|i| d.load(account(i))).sum();
+    assert_eq!(total, TOTAL, "money not conserved");
+    assert_eq!(
+        d.load(counter),
+        adds.load(std::sync::atomic::Ordering::Relaxed),
+        "an untracked fetch_add was lost"
+    );
 }

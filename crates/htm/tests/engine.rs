@@ -531,3 +531,40 @@ fn footprint_buffers_are_emptied_between_attempts() {
     assert_eq!(d.load(x), 21);
     assert_eq!(ctx.stats.aborts_capacity_read, 1);
 }
+
+#[test]
+fn finished_transactions_leave_no_holder_behind() {
+    // Thread 0 commits one transaction on line L and aborts another, then
+    // opens a transaction on other lines. Neither finished transaction may
+    // leave a registration of L behind for thread 1's transactional or
+    // untracked writes of L to blame on thread 0's open transaction.
+    let htm = htm_with(CapacityProfile::UNBOUNDED);
+    let r = htm.memory().alloc_line_aligned(16);
+    let (l, elsewhere) = (r.cell(0), r.cell(8));
+    assert_ne!(htm.memory().line_of(l), htm.memory().line_of(elsewhere));
+    let mut c0 = htm.thread(0);
+    let mut c1 = htm.thread(1);
+    c0.txn(TxKind::Htm, |tx| {
+        let v = tx.read(l)?;
+        tx.write(l, v + 1)
+    })
+    .unwrap();
+    let err = c0
+        .txn(TxKind::Htm, |tx| {
+            let v = tx.read(l)?;
+            tx.write(l, v + 1)?;
+            tx.abort::<()>(1)
+        })
+        .unwrap_err();
+    assert_eq!(err, Abort::Explicit(1));
+    c0.txn(TxKind::Htm, |tx| {
+        let v = tx.read(elsewhere)?;
+        c1.txn(TxKind::Htm, |tx1| tx1.write(l, 10)).unwrap();
+        htm.direct(1).store(l, 20);
+        tx.write(elsewhere, v + 1)
+    })
+    .expect("thread 0's open transaction stays undoomed");
+    assert_eq!(c0.stats.aborts_conflict, 0);
+    let d = htm.direct(0);
+    assert_eq!((d.load(l), d.load(elsewhere)), (20, 1));
+}

@@ -11,8 +11,9 @@
 //! it does for the test suite.
 //!
 //! Bad input exits 2 with one line on stderr: a flag value that does not
-//! parse or is missing, `--threads 0` or `--ops 0`, or a `--filter` that
-//! matches no case (a run that checks nothing is not a pass).
+//! parse or is missing, `--threads 0` or `--ops 0`, a thread count
+//! `htm_sim::HtmConfig::validate` refuses (above 1023), or a `--filter`
+//! that matches no case (a run that checks nothing is not a pass).
 //!
 //! `--det` switches to the deterministic matrix (serialized scheduler,
 //! bit-exact replay); `--sched-seed S` pins the schedule seed for every
@@ -73,6 +74,19 @@ fn count_flag(args: &[String], flag: &str, default: usize) -> usize {
     n
 }
 
+/// `--threads`: a count flag the simulator's config must also accept.
+fn threads_flag(args: &[String], default: usize) -> usize {
+    let n = count_flag(args, "--threads", default);
+    let cfg = htm_sim::HtmConfig {
+        max_threads: n,
+        ..htm_sim::HtmConfig::default()
+    };
+    if let Err(e) = cfg.validate() {
+        usage_error(&format!("--threads: {e}"));
+    }
+    n
+}
+
 /// Resolves the spec an `explore` invocation operates on.
 fn explore_spec(args: &[String], threads: usize, ops: usize) -> TortureSpec {
     if args.iter().any(|a| a == "--inject-bug") {
@@ -92,7 +106,7 @@ fn explore_spec(args: &[String], threads: usize, ops: usize) -> TortureSpec {
 }
 
 fn explore_main(args: &[String]) -> ! {
-    let threads = count_flag(args, "--threads", 2);
+    let threads = threads_flag(args, 2);
     let ops = count_flag(args, "--ops", 12);
     let seed: u64 = parse_flag(args, "--seed").unwrap_or_else(base_seed);
 
@@ -204,7 +218,7 @@ fn main() {
     if args.first().map(String::as_str) == Some("explore") {
         explore_main(&args[1..]);
     }
-    let threads = count_flag(&args, "--threads", 4);
+    let threads = threads_flag(&args, 4);
     let ops = count_flag(&args, "--ops", 250);
     let seed: u64 = parse_flag(&args, "--seed").unwrap_or_else(base_seed);
     let filter: Option<String> = parse_flag(&args, "--filter");

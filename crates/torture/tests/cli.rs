@@ -53,6 +53,14 @@ fn zero_threads_or_ops_exit_2() {
 }
 
 #[test]
+fn more_threads_than_the_simulator_supports_exit_2() {
+    let limit = "--threads: max_threads is 1024, above the limit of 1023 threads";
+    assert_usage_error(&["--threads", "1024"], limit);
+    assert_usage_error(&["--det", "--threads", "1024"], limit);
+    assert_usage_error(&["explore", "--inject-bug", "--threads", "1024"], limit);
+}
+
+#[test]
 fn a_filter_matching_no_case_exits_2() {
     assert_usage_error(&["--filter", "no-such-case"], "no case matches");
     assert_usage_error(&["--det", "--filter", "no-such-case"], "no case matches");

@@ -53,12 +53,18 @@ cargo test -q --release --offline -p htm-sim
 echo "==> torture smoke (full matrix, reduced depth)"
 cargo run -q --release --offline -p sprwl-torture -- --threads 2 --ops 100
 
+echo "==> torture with preempted lock holders (4x the host's two CPUs)"
+# Eight free-running threads on two CPUs: the OS preempts threads while
+# they hold a conflict-directory line word's lock bit, and the others
+# must wait it out.
+cargo run -q --release --offline -p sprwl-torture -- --threads 8 --ops 250
+
 echo "==> deterministic torture smoke (serialized scheduler, incl. mid-run thread churn cases)"
 cargo run -q --release --offline -p sprwl-torture -- --det --threads 2 --ops 100
 
 echo "==> torture usage smoke (bad input exits 2, never a panic or a vacuous pass)"
-for bad in "--threads abc" "--threads 0" "--ops 0" "--filter no-such-case" \
-    "explore --inject-bug --budget many"; do
+for bad in "--threads abc" "--threads 0" "--threads 1024" "--ops 0" \
+    "--filter no-such-case" "explore --inject-bug --budget many"; do
     rc=0
     # shellcheck disable=SC2086 # each case is a word-split argument list
     cargo run -q --release --offline -p sprwl-torture -- $bad > /dev/null 2>&1 || rc=$?

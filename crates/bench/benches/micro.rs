@@ -2,7 +2,8 @@
 //! overhead per scheme, raw HTM transaction cost (one access and a
 //! TPC-C-sized footprint, alone and next to a second thread), a
 //! Stock-Level-sized untracked scan (alone and next to that second thread),
-//! SNZI operations, and the duration estimator.
+//! the TPC-C Stock-Level and New-Order bodies on their own, SNZI
+//! operations, and the duration estimator.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -107,6 +108,51 @@ fn bench_footprint(c: &mut Criterion) {
             b.iter(|| untracked_scan(&d, scanned))
         });
         stop.store(true, Ordering::Relaxed);
+    });
+}
+
+/// The section bodies behind `tpcc-power8`, without a lock: one
+/// Stock-Level through `Direct` (the uninstrumented reader) and one
+/// New-Order attempt in a hardware transaction, on the benchmark's
+/// 2-warehouse POWER8-sim database, cycling through inputs drawn up front.
+/// Stock-Level runs first, so it scans the loader's orders on both builds.
+fn bench_tpcc(c: &mut Criterion) {
+    use rand::{rngs::StdRng, SeedableRng};
+    use sprwl_workloads::tpcc::{gen_new_order, gen_stock_level, TpccDb, TpccScale};
+
+    const INPUTS: usize = 64;
+    let scale = TpccScale::with_warehouses(2);
+    let h = Htm::new(
+        HtmConfig {
+            capacity: CapacityProfile::POWER8_SIM,
+            max_threads: 2,
+            ..HtmConfig::default()
+        },
+        scale.cells_needed(),
+    );
+    let db = TpccDb::new(h.memory(), scale);
+    let mut rng = StdRng::seed_from_u64(7);
+    let stock_levels: Vec<_> = (0..INPUTS)
+        .map(|i| gen_stock_level(&mut rng, &scale, i as u32 % 2))
+        .collect();
+    let new_orders: Vec<_> = (0..INPUTS)
+        .map(|i| gen_new_order(&mut rng, &scale, i as u32 % 2, i as u64))
+        .collect();
+    let mut ctx = h.thread(0);
+    let mut d = ctx.direct();
+    let mut next = 0;
+    c.bench_function("tpcc/stock-level-direct", |b| {
+        b.iter(|| {
+            next = (next + 1) % INPUTS;
+            db.stock_level(&mut d, &stock_levels[next]).unwrap()
+        })
+    });
+    c.bench_function("tpcc/new-order-txn", |b| {
+        b.iter(|| {
+            next = (next + 1) % INPUTS;
+            ctx.txn(TxKind::Htm, |tx| db.new_order(tx, &new_orders[next]))
+                .unwrap()
+        })
     });
 }
 
@@ -219,6 +265,6 @@ fn bench_estimator(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_millis(400)).warm_up_time(std::time::Duration::from_millis(150));
-    targets = bench_raw_htm, bench_footprint, bench_sections, bench_snzi, bench_trace_overhead, bench_estimator
+    targets = bench_raw_htm, bench_footprint, bench_tpcc, bench_sections, bench_snzi, bench_trace_overhead, bench_estimator
 }
 criterion_main!(benches);

@@ -96,9 +96,7 @@ impl<'h> Direct<'h> {
 
     /// Non-transactional load with full coherence semantics.
     pub fn load(&self, cell: CellId) -> u64 {
-        self.htm
-            .scheduler()
-            .yield_point(self.tid, YieldKind::Access);
+        self.htm.yield_point(self.tid, YieldKind::Access);
         let line = self.htm.mem_ref().line_of(cell);
         self.htm.dir_ref().untracked_op(
             line,
@@ -113,9 +111,7 @@ impl<'h> Direct<'h> {
     /// Non-transactional store; dooms every transaction holding the line
     /// (the strong-isolation property SpRWL's readers rely on).
     pub fn store(&self, cell: CellId, val: u64) {
-        self.htm
-            .scheduler()
-            .yield_point(self.tid, YieldKind::Access);
+        self.htm.yield_point(self.tid, YieldKind::Access);
         let line = self.htm.mem_ref().line_of(cell);
         self.htm.dir_ref().untracked_op(
             line,
@@ -131,9 +127,7 @@ impl<'h> Direct<'h> {
     /// `Ok` on success, `Err` on mismatch (like
     /// [`std::sync::atomic::AtomicU64::compare_exchange`]).
     pub fn compare_exchange(&self, cell: CellId, current: u64, new: u64) -> Result<u64, u64> {
-        self.htm
-            .scheduler()
-            .yield_point(self.tid, YieldKind::Access);
+        self.htm.yield_point(self.tid, YieldKind::Access);
         let line = self.htm.mem_ref().line_of(cell);
         self.htm.dir_ref().untracked_op(
             line,
@@ -147,9 +141,7 @@ impl<'h> Direct<'h> {
 
     /// Non-transactional fetch-and-add; returns the previous value.
     pub fn fetch_add(&self, cell: CellId, delta: u64) -> u64 {
-        self.htm
-            .scheduler()
-            .yield_point(self.tid, YieldKind::Access);
+        self.htm.yield_point(self.tid, YieldKind::Access);
         let line = self.htm.mem_ref().line_of(cell);
         self.htm.dir_ref().untracked_op(
             line,
@@ -192,9 +184,7 @@ impl Suspended<'_> {
     /// Suspended-mode load; sees the suspended transaction's own buffered
     /// stores.
     pub fn load(&self, cell: CellId) -> u64 {
-        self.htm
-            .scheduler()
-            .yield_point(self.me.tid, YieldKind::Access);
+        self.htm.yield_point(self.me.tid, YieldKind::Access);
         let line = self.htm.mem_ref().line_of(cell);
         if self.write_lines.contains(&line) {
             // Own speculatively-written line: serve from the write buffer
@@ -218,9 +208,7 @@ impl Suspended<'_> {
     /// including the suspended transaction itself if the line is in its
     /// own footprint.
     pub fn store(&self, cell: CellId, val: u64) {
-        self.htm
-            .scheduler()
-            .yield_point(self.me.tid, YieldKind::Access);
+        self.htm.yield_point(self.me.tid, YieldKind::Access);
         let line = self.htm.mem_ref().line_of(cell);
         self.htm.dir_ref().untracked_op(
             line,

@@ -124,8 +124,6 @@ pub enum SchedulerKind {
 pub struct HtmConfig {
     /// Number of simulated hardware threads (size of the transaction table).
     pub max_threads: usize,
-    /// 64-bit cells per simulated cache line (8 ⇒ 64-byte lines).
-    pub cells_per_line: u32,
     /// Capacity limits.
     pub capacity: CapacityProfile,
     /// Transaction-vs-transaction conflict resolution.
@@ -158,7 +156,6 @@ impl Default for HtmConfig {
     fn default() -> Self {
         Self {
             max_threads: 64,
-            cells_per_line: 8,
             capacity: CapacityProfile::BROADWELL_SIM,
             conflict_policy: ConflictPolicy::RequesterWins,
             interrupt_prob: 0.0,
@@ -186,8 +183,7 @@ impl HtmConfig {
     ///
     /// Returns a description of the first invalid field: zero threads or
     /// more than 1023 (the conflict directory names a thread in 10 bits of
-    /// a cache line's word), zero cells per line, or an out-of-range
-    /// probability.
+    /// a cache line's word) or an out-of-range probability.
     pub fn validate(&self) -> Result<(), String> {
         if self.max_threads == 0 {
             return Err("max_threads must be at least 1".into());
@@ -198,9 +194,6 @@ impl HtmConfig {
                 self.max_threads,
                 crate::directory::MAX_THREADS
             ));
-        }
-        if self.cells_per_line == 0 {
-            return Err("cells_per_line must be at least 1".into());
         }
         if !(0.0..=1.0).contains(&self.interrupt_prob) {
             return Err("interrupt_prob must be within [0, 1]".into());
@@ -245,15 +238,6 @@ mod tests {
     fn bad_probability_is_rejected() {
         let cfg = HtmConfig {
             interrupt_prob: 1.5,
-            ..HtmConfig::default()
-        };
-        assert!(cfg.validate().is_err());
-    }
-
-    #[test]
-    fn zero_cells_per_line_is_rejected() {
-        let cfg = HtmConfig {
-            cells_per_line: 0,
             ..HtmConfig::default()
         };
         assert!(cfg.validate().is_err());

@@ -27,11 +27,12 @@
 //!   never uses them; that asymmetry is one of the paper’s points.
 //!
 //! Memory is modelled as a flat array of 64-bit cells ([`SimMemory`])
-//! grouped into cache lines. All shared state that must participate in
-//! conflict detection (application data, SpRWL’s `state` array, the
-//! fallback lock, the SNZI root) lives in cells; transactional code accesses
-//! them through [`Tx`], uninstrumented code through [`Direct`], and both
-//! implement [`MemAccess`] so data structures can be written once.
+//! grouped into cache lines of [`CELLS_PER_LINE`] cells. All shared state
+//! that must participate in conflict detection (application data, SpRWL’s
+//! `state` array, the fallback lock, the SNZI root) lives in cells;
+//! transactional code accesses them through [`Tx`], uninstrumented code
+//! through [`Direct`], and both implement [`MemAccess`] so data structures
+//! can be written once.
 //!
 //! ## Quick example
 //!
@@ -78,7 +79,7 @@ mod util;
 
 pub use access::{AccessMode, Direct, MemAccess, Suspended};
 pub use config::{CapacityProfile, ConflictPolicy, HtmConfig, SchedulerKind};
-pub use memory::{CellId, LineId, Region, SimMemory};
+pub use memory::{CellId, LineId, Region, SimMemory, CELLS_PER_LINE};
 pub use registry::SlotRegistry;
 pub use sched::{
     DecisionRecord, DetScheduler, OsScheduler, SchedulePolicy, SchedulePolicyKind, Scheduler,

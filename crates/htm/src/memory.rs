@@ -9,6 +9,14 @@
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
+/// 64-bit cells per simulated cache line: 64-byte lines, as on the
+/// paper's Broadwell and POWER8 machines.
+pub const CELLS_PER_LINE: u32 = 8;
+
+/// `log2(CELLS_PER_LINE)`: a cell's line index is a shift.
+const LINE_SHIFT: u32 = CELLS_PER_LINE.trailing_zeros();
+const _: () = assert!(CELLS_PER_LINE.is_power_of_two());
+
 /// Index of a single 64-bit cell in a [`SimMemory`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CellId(pub(crate) u32);
@@ -20,7 +28,8 @@ impl CellId {
     }
 }
 
-/// Index of a simulated cache line (a group of consecutive cells).
+/// Index of a simulated cache line (a group of [`CELLS_PER_LINE`]
+/// consecutive cells).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LineId(pub(crate) u32);
 
@@ -100,26 +109,21 @@ impl Region {
 #[derive(Debug)]
 pub struct SimMemory {
     cells: Box<[AtomicU64]>,
-    cells_per_line: u32,
     next_free: AtomicU32,
 }
 
 impl SimMemory {
-    /// Creates a memory of `capacity_cells` zero-initialised cells with
-    /// `cells_per_line` cells per simulated cache line.
+    /// Creates a memory of `capacity_cells` zero-initialised cells.
     ///
     /// # Panics
     ///
-    /// Panics if `capacity_cells` exceeds `u32::MAX` or `cells_per_line`
-    /// is zero.
-    pub fn new(capacity_cells: usize, cells_per_line: u32) -> Self {
+    /// Panics if `capacity_cells` exceeds `u32::MAX`.
+    pub fn new(capacity_cells: usize) -> Self {
         assert!(capacity_cells <= u32::MAX as usize, "memory too large");
-        assert!(cells_per_line > 0, "cells_per_line must be non-zero");
         let mut v = Vec::with_capacity(capacity_cells);
         v.resize_with(capacity_cells, || AtomicU64::new(0));
         Self {
             cells: v.into_boxed_slice(),
-            cells_per_line,
             next_free: AtomicU32::new(0),
         }
     }
@@ -137,12 +141,7 @@ impl SimMemory {
     /// The cache line containing `cell`.
     #[inline]
     pub fn line_of(&self, cell: CellId) -> LineId {
-        LineId(cell.0 / self.cells_per_line)
-    }
-
-    /// Cells per simulated cache line.
-    pub fn cells_per_line(&self) -> u32 {
-        self.cells_per_line
+        LineId(cell.0 >> LINE_SHIFT)
     }
 
     /// Allocates `n` consecutive cells.
@@ -181,7 +180,7 @@ impl SimMemory {
     ///
     /// Panics if the memory is exhausted.
     pub fn alloc_line_aligned(&self, n: usize) -> Region {
-        let cpl = self.cells_per_line as usize;
+        let cpl = CELLS_PER_LINE as usize;
         // Over-allocate enough to realign, then carve the aligned window.
         let raw = self.alloc(n + cpl - 1 + (cpl - n % cpl) % cpl);
         let misalign = raw.start as usize % cpl;
@@ -245,7 +244,7 @@ mod tests {
 
     #[test]
     fn alloc_is_monotone_and_disjoint() {
-        let m = SimMemory::new(100, 8);
+        let m = SimMemory::new(100);
         let a = m.alloc(10);
         let b = m.alloc(5);
         assert_eq!(a.len(), 10);
@@ -257,21 +256,24 @@ mod tests {
     #[test]
     #[should_panic(expected = "exhausted")]
     fn alloc_past_capacity_panics() {
-        let m = SimMemory::new(16, 8);
+        let m = SimMemory::new(16);
         m.alloc(17);
     }
 
     #[test]
     fn line_mapping_groups_cells() {
-        let m = SimMemory::new(64, 8);
+        let m = SimMemory::new(64);
         let r = m.alloc(16);
         assert_eq!(m.line_of(r.cell(0)), m.line_of(r.cell(7)));
         assert_ne!(m.line_of(r.cell(7)), m.line_of(r.cell(8)));
+        for c in r.iter() {
+            assert_eq!(m.line_of(c).index(), c.index() / CELLS_PER_LINE as usize);
+        }
     }
 
     #[test]
     fn padded_alloc_puts_each_cell_on_its_own_line() {
-        let m = SimMemory::new(1024, 8);
+        let m = SimMemory::new(1024);
         m.alloc(3); // misalign on purpose
         let cells = m.alloc_padded(5);
         let mut lines: Vec<_> = cells.iter().map(|&c| m.line_of(c)).collect();
@@ -281,7 +283,7 @@ mod tests {
 
     #[test]
     fn line_aligned_alloc_starts_on_boundary() {
-        let m = SimMemory::new(1024, 8);
+        let m = SimMemory::new(1024);
         m.alloc(5);
         let r = m.alloc_line_aligned(8);
         assert_eq!(r.cell(0).index() % 8, 0);
@@ -290,7 +292,7 @@ mod tests {
 
     #[test]
     fn region_split_and_iter() {
-        let m = SimMemory::new(64, 8);
+        let m = SimMemory::new(64);
         let r = m.alloc(10);
         let (a, b) = r.split_at(4);
         assert_eq!(a.len(), 4);
@@ -303,14 +305,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of")]
     fn region_bounds_are_checked() {
-        let m = SimMemory::new(64, 8);
+        let m = SimMemory::new(64);
         let r = m.alloc(4);
         let _ = r.cell(4);
     }
 
     #[test]
     fn cells_start_zeroed_and_peek_reads_raw() {
-        let m = SimMemory::new(8, 8);
+        let m = SimMemory::new(8);
         let r = m.alloc(8);
         for c in r.iter() {
             assert_eq!(m.peek(c), 0);
@@ -321,7 +323,7 @@ mod tests {
 
     #[test]
     fn raw_cas_success_and_failure() {
-        let m = SimMemory::new(8, 8);
+        let m = SimMemory::new(8);
         let c = m.alloc(1).cell(0);
         assert_eq!(m.raw_cas(c, 0, 5), Ok(0));
         assert_eq!(m.raw_cas(c, 0, 9), Err(5));
@@ -330,7 +332,7 @@ mod tests {
 
     #[test]
     fn remaining_tracks_allocations() {
-        let m = SimMemory::new(100, 8);
+        let m = SimMemory::new(100);
         assert_eq!(m.remaining(), 100);
         m.alloc(30);
         assert_eq!(m.remaining(), 70);

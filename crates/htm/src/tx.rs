@@ -6,7 +6,7 @@ use std::sync::Arc;
 use crate::access::{Direct, Suspended};
 use crate::config::{CapacityProfile, ConflictPolicy, HtmConfig, SchedulerKind};
 use crate::directory::Directory;
-use crate::memory::{CellId, LineId, SimMemory};
+use crate::memory::{CellId, LineId, SimMemory, CELLS_PER_LINE};
 use crate::registry::SlotRegistry;
 use crate::sched::{self, DetScheduler, OsScheduler, Scheduler, YieldKind};
 use crate::slots::{
@@ -98,6 +98,10 @@ pub struct Htm {
     /// The execution substrate: owns interleaving decisions and the clock
     /// (see [`crate::sched`]).
     sched: Arc<dyn Scheduler>,
+    /// Whether a yield point can do anything. A free-running scheduler
+    /// that does not shake returns from every yield at once, so
+    /// [`Htm::yield_point`] skips the call.
+    yields: bool,
 }
 
 impl Htm {
@@ -109,6 +113,7 @@ impl Htm {
     pub fn new(cfg: HtmConfig, memory_cells: usize) -> Self {
         cfg.validate().expect("invalid HtmConfig");
         let registry = SlotRegistry::new(cfg.max_threads);
+        let yields = cfg.scheduler != SchedulerKind::Os || cfg.sched_shake_prob > 0.0;
         let sched: Arc<dyn Scheduler> = match &cfg.scheduler {
             SchedulerKind::Os => Arc::new(OsScheduler::new(cfg.sched_shake_prob, cfg.seed)),
             SchedulerKind::Deterministic { schedule_seed } => {
@@ -119,12 +124,22 @@ impl Htm {
             }
         };
         Self {
-            mem: SimMemory::new(memory_cells, cfg.cells_per_line),
-            dir: Directory::new(memory_cells.div_ceil(cfg.cells_per_line as usize)),
+            mem: SimMemory::new(memory_cells),
+            dir: Directory::new(memory_cells.div_ceil(CELLS_PER_LINE as usize)),
             table: TxTable::new(cfg.max_threads),
             cfg,
             registry,
             sched,
+            yields,
+        }
+    }
+
+    /// A point where the interleaving may change: hands `tid`'s event to
+    /// the scheduler, unless the scheduler would do nothing there.
+    #[inline]
+    pub(crate) fn yield_point(&self, tid: u32, kind: YieldKind) {
+        if self.yields {
+            self.sched.yield_point(tid, kind);
         }
     }
 
@@ -342,7 +357,7 @@ impl<'h> ThreadCtx<'h> {
             tid: self.tid,
             epoch: self.epoch,
         };
-        self.htm.sched.yield_point(self.tid, YieldKind::TxBegin);
+        self.htm.yield_point(self.tid, YieldKind::TxBegin);
         self.htm.table.begin(me.tid, me.epoch);
         self.stats.on_begin(kind);
         self.last_conflict = None;
@@ -382,7 +397,7 @@ impl<'h> ThreadCtx<'h> {
                     // peers observing `Committing` spin it out holding a
                     // line word's lock bit, which a serialized scheduler
                     // could never resolve if a switch landed inside.
-                    self.htm.sched.yield_point(self.tid, YieldKind::TxCommit);
+                    self.htm.yield_point(self.tid, YieldKind::TxCommit);
                     return Ok(value);
                 }
                 Err(Abort::Conflict)
@@ -408,7 +423,7 @@ impl<'h> ThreadCtx<'h> {
             });
         }
         self.stats.on_abort(cause);
-        self.htm.sched.yield_point(self.tid, YieldKind::TxAbort);
+        self.htm.yield_point(self.tid, YieldKind::TxAbort);
         outcome
     }
 }
@@ -431,7 +446,7 @@ impl Tx<'_> {
         // Yield before the doom check: a peer scheduled here may conflict
         // with (and doom) this transaction, which the check then observes —
         // the interleavings a real context switch would expose.
-        self.htm.sched.yield_point(self.me.tid, YieldKind::TxAccess);
+        self.htm.yield_point(self.me.tid, YieldKind::TxAccess);
         if self.htm.table.is_doomed(self.me) {
             return Err(Abort::Conflict);
         }
@@ -588,5 +603,35 @@ impl Tx<'_> {
             return Err(Abort::Conflict);
         }
         Ok(r)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sched::SchedulePolicyKind;
+
+    fn yields(scheduler: SchedulerKind, sched_shake_prob: f64) -> bool {
+        let cfg = HtmConfig {
+            max_threads: 2,
+            scheduler,
+            sched_shake_prob,
+            ..HtmConfig::default()
+        };
+        Htm::new(cfg, 64).yields
+    }
+
+    #[test]
+    fn only_a_free_running_scheduler_without_shake_skips_yield_points() {
+        assert!(!yields(SchedulerKind::Os, 0.0));
+        for shake in [0.02, 0.05, 1.0] {
+            assert!(yields(SchedulerKind::Os, shake), "shake {shake}");
+        }
+        let det = SchedulerKind::Deterministic { schedule_seed: 1 };
+        assert!(yields(det, 0.0));
+        let policy = SchedulerKind::DeterministicPolicy {
+            policy: SchedulePolicyKind::Random { seed: 1 },
+        };
+        assert!(yields(policy, 0.0));
     }
 }

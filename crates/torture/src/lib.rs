@@ -77,7 +77,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use htm_sim::clock::SpinWait;
-use htm_sim::{Htm, HtmConfig, SchedulerKind};
+use htm_sim::{Htm, HtmConfig, SchedulerKind, CELLS_PER_LINE};
 use sprwl::{InnerMode, SpRwlPair, SprwlConfig};
 use sprwl_lincheck::{check, labels, CheckConfig, History, Verdict};
 use sprwl_locks::{CommitMode, LockThread, Role, RwSync, SectionId, SessionStats};
@@ -1009,8 +1009,7 @@ fn execute_mirror(
     case_seed: u64,
     build: &dyn Fn(&Htm) -> Box<dyn RwSync>,
 ) -> CaseRun {
-    let cells_per_line = htm_cfg.cells_per_line as usize;
-    let cells = (2 * spec.pairs + 8 * spec.threads + 128) * cells_per_line;
+    let cells = (2 * spec.pairs + 8 * spec.threads + 128) * CELLS_PER_LINE as usize;
     let htm = Htm::new(htm_cfg.clone(), cells);
     let lock = build(&htm);
     let bank_a = htm.memory().alloc_padded(spec.pairs);
@@ -1066,8 +1065,7 @@ fn execute_cross(
             spec.name
         );
     };
-    let cells_per_line = htm_cfg.cells_per_line as usize;
-    let cells = (4 * spec.pairs + 16 * spec.threads + 256) * cells_per_line;
+    let cells = (4 * spec.pairs + 16 * spec.threads + 256) * CELLS_PER_LINE as usize;
     let htm = Htm::new(htm_cfg.clone(), cells);
     let pair = SpRwlPair::new(&htm, lock_cfg.clone(), lock_cfg.clone());
     let banks: [Vec<htm_sim::CellId>; 4] = [

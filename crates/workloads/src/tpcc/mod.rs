@@ -71,16 +71,15 @@ impl TpccScale {
 
     /// Simulated-memory cells a database of this scale needs.
     pub fn cells_needed(&self) -> usize {
-        let cpl = 8;
         let w = self.warehouses;
         let wd = w * self.districts;
-        Table::cells_for(cpl, w, W_FIELDS)
-            + Table::cells_for(cpl, wd, D_FIELDS)
-            + Table::cells_for(cpl, wd * self.customers_per_district, C_FIELDS)
-            + Table::cells_for(cpl, self.items, I_FIELDS)
-            + Table::cells_for(cpl, w * self.items, S_FIELDS)
-            + Table::cells_for(cpl, wd * self.order_ring, O_FIELDS)
-            + Table::cells_for(cpl, wd * self.order_ring * MAX_OL, OL_FIELDS)
+        Table::cells_for(w, W_FIELDS)
+            + Table::cells_for(wd, D_FIELDS)
+            + Table::cells_for(wd * self.customers_per_district, C_FIELDS)
+            + Table::cells_for(self.items, I_FIELDS)
+            + Table::cells_for(w * self.items, S_FIELDS)
+            + Table::cells_for(wd * self.order_ring, O_FIELDS)
+            + Table::cells_for(wd * self.order_ring * MAX_OL, OL_FIELDS)
             + 4096
     }
 }

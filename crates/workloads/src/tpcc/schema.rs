@@ -6,7 +6,7 @@
 //! rates in basis points; strings (names, addresses) carry no behaviour
 //! and are not materialized.
 
-use htm_sim::{CellId, Region, SimMemory};
+use htm_sim::{CellId, Region, SimMemory, CELLS_PER_LINE};
 
 /// A fixed-width table: `rows × fields`, row stride rounded up to whole
 /// cache lines.
@@ -20,8 +20,7 @@ pub(crate) struct Table {
 
 impl Table {
     pub(crate) fn new(mem: &SimMemory, rows: u32, fields: u32) -> Self {
-        let cpl = mem.cells_per_line();
-        let stride = fields.div_ceil(cpl) * cpl;
+        let stride = Self::stride(fields);
         let region = mem.alloc_line_aligned(rows as usize * stride as usize);
         Self {
             region,
@@ -31,9 +30,15 @@ impl Table {
         }
     }
 
-    pub(crate) fn cells_for(mem_cells_per_line: u32, rows: u32, fields: u32) -> usize {
-        let stride = fields.div_ceil(mem_cells_per_line) * mem_cells_per_line;
-        rows as usize * stride as usize + mem_cells_per_line as usize
+    /// Cells a table of `rows × fields` needs, with a line of slack for
+    /// alignment.
+    pub(crate) fn cells_for(rows: u32, fields: u32) -> usize {
+        rows as usize * Self::stride(fields) as usize + CELLS_PER_LINE as usize
+    }
+
+    /// A row's width in cells: `fields` rounded up to whole lines.
+    fn stride(fields: u32) -> u32 {
+        fields.div_ceil(CELLS_PER_LINE) * CELLS_PER_LINE
     }
 
     #[inline]
@@ -135,7 +140,7 @@ mod tests {
 
     #[test]
     fn rows_are_line_aligned_and_disjoint() {
-        let mem = SimMemory::new(4096, 8);
+        let mem = SimMemory::new(4096);
         let t = Table::new(&mem, 10, 5);
         assert_eq!(t.rows(), 10);
         let a = t.cell(0, 0);
@@ -146,7 +151,7 @@ mod tests {
 
     #[test]
     fn wide_rows_span_multiple_lines() {
-        let mem = SimMemory::new(4096, 8);
+        let mem = SimMemory::new(4096);
         let t = Table::new(&mem, 4, 12); // 12 fields -> 2 lines stride
         assert_ne!(mem.line_of(t.cell(0, 0)), mem.line_of(t.cell(0, 11)));
         assert_ne!(mem.line_of(t.cell(0, 11)), mem.line_of(t.cell(1, 0)));
@@ -154,10 +159,10 @@ mod tests {
 
     #[test]
     fn cells_for_matches_actual_allocation() {
-        let mem = SimMemory::new(100_000, 8);
+        let mem = SimMemory::new(100_000);
         let before = mem.remaining();
         let _t = Table::new(&mem, 100, 5);
         let used = before - mem.remaining();
-        assert!(used <= Table::cells_for(8, 100, 5));
+        assert!(used <= Table::cells_for(100, 5));
     }
 }

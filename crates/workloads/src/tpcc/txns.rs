@@ -10,6 +10,45 @@ use super::input::{
 use super::schema::*;
 use super::TpccDb;
 
+/// How many of a district's most recent orders Stock-Level scans.
+const STOCK_LEVEL_ORDERS: u64 = 20;
+
+/// Slots in Stock-Level's item set: a power of two at least twice the most
+/// items one call can insert, so linear probes stay short.
+const ITEM_SET_SLOTS: usize =
+    (2 * STOCK_LEVEL_ORDERS as usize * MAX_OL as usize).next_power_of_two();
+
+/// Stock-Level's "counted already?" set of item ids, on the stack: open
+/// addressing with Fibonacci hashing and linear probing. Item ids start at
+/// 1, so 0 marks an empty slot. It never fills: one call inserts at most
+/// `STOCK_LEVEL_ORDERS * MAX_OL` items.
+struct ItemSet([u32; ITEM_SET_SLOTS]);
+
+impl ItemSet {
+    fn new() -> Self {
+        Self([0; ITEM_SET_SLOTS])
+    }
+
+    /// Adds `item` (at least 1); returns whether it was absent.
+    #[inline]
+    fn insert(&mut self, item: u32) -> bool {
+        debug_assert_ne!(item, 0, "0 marks an empty slot");
+        let mask = ITEM_SET_SLOTS - 1;
+        let mut slot =
+            (item.wrapping_mul(0x9E37_79B9) >> (32 - ITEM_SET_SLOTS.trailing_zeros())) as usize;
+        loop {
+            match self.0[slot] {
+                0 => {
+                    self.0[slot] = item;
+                    return true;
+                }
+                held if held == item => return false,
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+}
+
 impl TpccDb {
     /// Resolves a customer selection: direct id, or the spec's
     /// median-of-matches last-name rule via the immutable name index.
@@ -205,8 +244,8 @@ impl TpccDb {
     pub fn stock_level(&self, a: &mut dyn MemAccess, inp: &StockLevelInput) -> TxResult<u64> {
         let dr = self.d_row(inp.w, inp.d);
         let next_o = a.read(self.district.cell(dr, D_NEXT_O_ID))?;
-        let first = next_o.saturating_sub(20).max(1);
-        let mut seen: Vec<u32> = Vec::with_capacity(20 * MAX_OL as usize);
+        let first = next_o.saturating_sub(STOCK_LEVEL_ORDERS).max(1);
+        let mut seen = ItemSet::new();
         let mut low = 0;
         for o_id in first..next_o {
             let or = self.o_row(inp.w, inp.d, o_id);
@@ -216,10 +255,9 @@ impl TpccDb {
             let n = a.read(self.orders.cell(or, O_OL_CNT))?;
             for l in 0..n.min(MAX_OL as u64) as u32 {
                 let item = a.read(self.order_lines.cell(self.ol_row(or, l), OL_I_ID))? as u32;
-                if item == 0 || seen.contains(&item) {
+                if item == 0 || !seen.insert(item) {
                     continue;
                 }
-                seen.push(item);
                 let qty = a.read(self.stock.cell(self.s_row(inp.w, item), S_QUANTITY))?;
                 if qty < inp.threshold {
                     low += 1;
@@ -233,11 +271,12 @@ impl TpccDb {
 #[cfg(test)]
 mod tests {
     use super::super::input::*;
+    use super::super::schema::*;
     use super::super::{TpccDb, TpccScale};
     #[allow(unused_imports)]
     use super::CustomerSelect as _;
     use htm_sim::{CapacityProfile, Htm, HtmConfig};
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn setup(warehouses: u32) -> (Htm, TpccDb) {
         let scale = TpccScale::with_warehouses(warehouses);
@@ -410,6 +449,124 @@ mod tests {
         // 10..=20, so the count is bounded by the distinct items scanned.
         assert!(low <= 20 * super::super::schema::MAX_OL as u64);
         let _ = htm;
+    }
+
+    #[test]
+    fn item_set_answers_like_a_hash_set() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(10);
+        for max_item in [8, 300, 1024, u32::MAX] {
+            let mut set = super::ItemSet::new();
+            let mut reference = std::collections::HashSet::new();
+            // As many inserts as one Stock-Level call can make.
+            for _ in 0..super::STOCK_LEVEL_ORDERS * MAX_OL as u64 {
+                let item = rng.gen_range(1..=max_item);
+                assert_eq!(set.insert(item), reference.insert(item), "item {item}");
+            }
+        }
+    }
+
+    /// Reads through `Direct`, recording every cell; Stock-Level never
+    /// writes.
+    struct Recording<'h> {
+        direct: htm_sim::Direct<'h>,
+        reads: Vec<htm_sim::CellId>,
+    }
+
+    impl htm_sim::MemAccess for Recording<'_> {
+        fn read(&mut self, cell: htm_sim::CellId) -> htm_sim::TxResult<u64> {
+            self.reads.push(cell);
+            Ok(self.direct.load(cell))
+        }
+
+        fn write(&mut self, cell: htm_sim::CellId, _: u64) -> htm_sim::TxResult<()> {
+            panic!("Stock-Level wrote {cell:?}")
+        }
+
+        fn mode(&self) -> htm_sim::AccessMode {
+            htm_sim::AccessMode::Untracked
+        }
+    }
+
+    /// Stock-Level's body as it was with a `Vec` for its distinct items,
+    /// plus a count of the repeated items it skipped.
+    fn stock_level_by_vec_scan(
+        db: &TpccDb,
+        a: &mut dyn htm_sim::MemAccess,
+        inp: &StockLevelInput,
+    ) -> (u64, usize) {
+        let dr = db.d_row(inp.w, inp.d);
+        let next_o = a.read(db.district.cell(dr, D_NEXT_O_ID)).unwrap();
+        let first = next_o.saturating_sub(20).max(1);
+        let mut seen: Vec<u32> = Vec::new();
+        let (mut low, mut repeats) = (0, 0);
+        for o_id in first..next_o {
+            let or = db.o_row(inp.w, inp.d, o_id);
+            if a.read(db.orders.cell(or, O_ID)).unwrap() != o_id {
+                continue;
+            }
+            let n = a.read(db.orders.cell(or, O_OL_CNT)).unwrap();
+            for l in 0..n.min(MAX_OL as u64) as u32 {
+                let cell = db.order_lines.cell(db.ol_row(or, l), OL_I_ID);
+                let item = a.read(cell).unwrap() as u32;
+                if item == 0 || seen.contains(&item) {
+                    repeats += usize::from(item != 0);
+                    continue;
+                }
+                seen.push(item);
+                let qty = a.read(db.stock.cell(db.s_row(inp.w, item), S_QUANTITY));
+                if qty.unwrap() < inp.threshold {
+                    low += 1;
+                }
+            }
+        }
+        (low, repeats)
+    }
+
+    #[test]
+    fn stock_level_reads_and_counts_exactly_as_the_vec_scan() {
+        let (htm, db) = setup(2);
+        let mut d = htm.direct(0);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+        let record = || Recording {
+            direct: htm.direct(0),
+            reads: Vec::new(),
+        };
+        let (mut read_diffs, mut count_diffs, mut repeats) = (0, 0, 0);
+        let calls = 300;
+        for round in 0..calls {
+            // Ten New-Orders and one Delivery between scans: 3000 orders
+            // over 20 districts wrap every 64-order ring at least twice.
+            for _ in 0..10 {
+                let w = rng.gen_range(0..2);
+                let inp = gen_new_order(&mut rng, db.scale(), w, round);
+                db.new_order(&mut d, &inp).unwrap();
+            }
+            let w = (round % 2) as u32;
+            db.delivery(&mut d, &gen_delivery(&mut rng, w, round))
+                .unwrap();
+            let inp = gen_stock_level(&mut rng, db.scale(), w);
+            let (mut got, mut want) = (record(), record());
+            let low = db.stock_level(&mut got, &inp).unwrap();
+            let (want_low, skipped) = stock_level_by_vec_scan(&db, &mut want, &inp);
+            read_diffs += usize::from(got.reads != want.reads);
+            count_diffs += usize::from(low != want_low);
+            repeats += skipped;
+        }
+        assert_eq!(
+            (read_diffs, count_diffs),
+            (0, 0),
+            "calls of {calls} whose (read sequence, count) differ from the Vec scan"
+        );
+        // Not vacuous: items repeated within 20 orders, and every ring
+        // wrapped.
+        assert!(repeats > calls as usize, "only {repeats} repeated items");
+        for dr in 0..2 * db.scale().districts {
+            let next_o = htm.memory().peek(db.district.cell(dr, D_NEXT_O_ID));
+            assert!(
+                next_o > 2 * db.scale().order_ring as u64,
+                "district row {dr}"
+            );
+        }
     }
 
     #[test]

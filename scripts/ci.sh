@@ -95,6 +95,16 @@ print("wallbench %s: correct, %d ops" % (wl, doc["attempted"]))
 ' "$wl"
 done
 
+echo "==> bench_pairs smoke (one build against itself: runs pass their checks, no gain claimed)"
+# The same binary on both sides of 2 alternating 1-s pairs: every run must
+# pass its end-of-run checks, and no metric may be judged a gain (the rule
+# needs 10 pairs).
+PAIRS_OUT=$(python3 scripts/bench_pairs.py wallbench/target/release/wallbench \
+    wallbench/target/release/wallbench --workload tpcc-power8 --first-seed 1 \
+    --pairs 2 --seconds 1)
+printf '%s\n' "$PAIRS_OUT"
+printf '%s\n' "$PAIRS_OUT" | grep -qx "claimed gains: none"
+
 echo "==> lincheck smoke (checker accepts the committed cross-lock golden history)"
 CROSS_GOLDEN=crates/torture/tests/golden/det_cross_smoke.trace.jsonl
 cargo run -q --release --offline -p sprwl-lincheck -- "$CROSS_GOLDEN" > /dev/null

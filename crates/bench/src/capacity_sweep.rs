@@ -6,7 +6,7 @@
 //! range-scan ([`RangeScanSpec::capacity_sweep`]) — run over every
 //! capacity profile in {broadwell-sim, power8-sim, tiny}, once with plain
 //! SpRWL and once with the capacity-stretching ladder
-//! ([`sprwl::StretchPolicy`]) enabled. The point of the document is the
+//! ([`sprwl::SprwlConfig::stretch`]) enabled. The point of the document is the
 //! before/after contrast per profile: stretching must push the writer
 //! capacity-abort count down (the sticky rung stops re-probing doomed HTM
 //! paths) without costing throughput, which is what `bench-compare` gates

@@ -930,23 +930,43 @@ pub fn today() -> String {
     civil_date(secs)
 }
 
-/// The current git commit (short hash): `BENCH_GIT_COMMIT` env override,
-/// else `git rev-parse --short HEAD`, else `"unknown"`.
+/// The current git commit: `BENCH_GIT_COMMIT` env override, else the
+/// short hash of `HEAD` in the working directory, with `-dirty` appended
+/// when a tracked file differs from `HEAD`, else `"unknown"`.
 pub fn git_commit() -> String {
     if let Ok(c) = std::env::var("BENCH_GIT_COMMIT") {
         if !c.is_empty() {
             return c;
         }
     }
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
+    git_commit_in(std::path::Path::new("."))
+}
+
+/// [`git_commit`] for the repository at `dir`, without the override.
+/// `git diff --quiet HEAD` exits 1 when a tracked file differs, staged or
+/// not; untracked files do not count.
+fn git_commit_in(dir: &std::path::Path) -> String {
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .current_dir(dir)
+            .output()
+            .ok()
+    };
+    let Some(hash) = git(&["rev-parse", "--short", "HEAD"])
         .filter(|o| o.status.success())
         .and_then(|o| String::from_utf8(o.stdout).ok())
         .map(|s| s.trim().to_string())
         .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
+    else {
+        return "unknown".to_string();
+    };
+    let dirty = git(&["diff", "--quiet", "HEAD"]).is_some_and(|o| o.status.code() == Some(1));
+    if dirty {
+        format!("{hash}-dirty")
+    } else {
+        hash
+    }
 }
 
 #[cfg(test)]
@@ -1206,5 +1226,38 @@ mod tests {
         assert_eq!(p.key(), "read-only/SpRWL/t4");
         assert!(p.row().contains("read-only"));
         assert!(BenchPoint::header().contains("abort%"));
+    }
+
+    #[test]
+    fn git_commit_marks_a_modified_tree_dirty() {
+        let dir = std::env::temp_dir().join(format!("sprwl-git-commit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let git = |args: &[&str]| {
+            let ok = std::process::Command::new("git")
+                .args(["-c", "user.name=t", "-c", "user.email=t@t"])
+                .args(["-c", "commit.gpgsign=false"])
+                .args(args)
+                .current_dir(&dir)
+                .output()
+                .unwrap()
+                .status
+                .success();
+            assert!(ok, "git {args:?} failed");
+        };
+        git(&["init", "-q"]);
+        std::fs::write(dir.join("tracked.txt"), "one\n").unwrap();
+        git(&["add", "tracked.txt"]);
+        git(&["commit", "-q", "-m", "one"]);
+        let clean = git_commit_in(&dir);
+        assert!(
+            !clean.is_empty() && clean.chars().all(|c| c.is_ascii_hexdigit()),
+            "a clean tree stamps the bare hash, got {clean:?}"
+        );
+        std::fs::write(dir.join("untracked.txt"), "new\n").unwrap();
+        assert_eq!(git_commit_in(&dir), clean, "untracked files do not count");
+        std::fs::write(dir.join("tracked.txt"), "two\n").unwrap();
+        assert_eq!(git_commit_in(&dir), format!("{clean}-dirty"));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -32,7 +32,7 @@ use sprwl_locks::LockThread;
 use crate::lock::{SpRwl, STATE_READER};
 
 /// Mode-word values.
-pub(crate) const MODE_FLAGS: u64 = 0;
+const MODE_FLAGS: u64 = 0;
 pub(crate) const MODE_SNZI: u64 = 1;
 pub(crate) const MODE_TRANS_TO_SNZI: u64 = 2;
 
@@ -40,9 +40,8 @@ pub(crate) const MODE_TRANS_TO_SNZI: u64 = 2;
 const RATIO_HI: u64 = 8;
 /// Ratio below which the tracker reverts to flags.
 const RATIO_LO: u64 = 2;
-/// Minimum interval between switches, ns (hysteresis). Shared with the
-/// runtime self-tuner, so both switch initiators honour one clock.
-pub(crate) const SWITCH_COOLDOWN_NS: u64 = 5_000_000;
+/// Minimum interval between switches, ns (hysteresis).
+const SWITCH_COOLDOWN_NS: u64 = 5_000_000;
 /// How long the transition waits for one pre-transition reader, ns.
 const DRAIN_TIMEOUT_NS: u64 = 2_000_000;
 
@@ -143,7 +142,7 @@ impl SpRwl {
     /// readers (bounded per reader), then complete — or roll back on
     /// timeout, which is always safe because writers scan flags throughout
     /// the transition.
-    pub(crate) fn switch_to_snzi(&self, d: &Direct<'_>, me: usize, mem: &SimMemory) {
+    fn switch_to_snzi(&self, d: &Direct<'_>, me: usize, mem: &SimMemory) {
         let cell = self.readers.mode_cell.expect("adaptive");
         if d.compare_exchange(cell, MODE_FLAGS, MODE_TRANS_TO_SNZI)
             .is_err()

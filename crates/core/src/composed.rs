@@ -33,7 +33,7 @@
 
 use htm_sim::clock;
 use htm_sim::{Htm, SimMemory, TxKind};
-use sprwl_locks::{CommitMode, LockThread, Role, SectionBody, SectionId};
+use sprwl_locks::{CommitMode, LockThread, RetryPolicy, Role, SectionBody, SectionId};
 use sprwl_trace::{EventKind, TraceRole};
 
 use crate::lock::{SpRwl, NONE, STATE_EMPTY, STATE_WRITER};
@@ -180,7 +180,7 @@ impl SpRwlPair {
                     // No δ-timed retry here: the single-lock heuristic
                     // targets *that* lock's last reader, which has no
                     // two-lock analogue. Retry immediately or fall back.
-                    if !self.outer.cfg.writer_retry.should_retry(attempts, abort) {
+                    if !RetryPolicy::PAPER_DEFAULT.should_retry(attempts, abort) {
                         break None;
                     }
                 }
@@ -312,7 +312,7 @@ impl SpRwlPair {
 mod tests {
     use super::*;
     use htm_sim::HtmConfig;
-    use sprwl_locks::{RetryPolicy, RwSync};
+    use sprwl_locks::RwSync;
 
     const SEC: SectionId = SectionId(2);
 
@@ -350,18 +350,14 @@ mod tests {
     #[test]
     fn composed_fallback_runs_under_both_locks() {
         let htm = Htm::new(HtmConfig::default(), 4096);
-        let outer_cfg = SprwlConfig {
-            writer_retry: RetryPolicy { max_attempts: 1 },
-            ..SprwlConfig::default()
-        };
-        let pair = SpRwlPair::new(&htm, outer_cfg, SprwlConfig::default());
+        let pair = SpRwlPair::with_defaults(&htm);
         let a = htm.memory().alloc_line_aligned(1).cell(0);
         let b = htm.memory().alloc_line_aligned(1).cell(0);
 
-        // A reader flagged on the outer lock aborts the single HTM attempt
-        // (commit-time check), forcing the composed fallback; it unflags
-        // only once it *sees* the fallback acquired, so the path is taken
-        // deterministically.
+        // A reader flagged on the outer lock aborts every HTM attempt
+        // (commit-time check) until the retry budget forces the composed
+        // fallback; it unflags only once it *sees* the fallback acquired,
+        // so the path is taken deterministically.
         std::thread::scope(|s| {
             let pair = &pair;
             let htm = &htm;
@@ -377,8 +373,8 @@ mod tests {
             });
             s.spawn(move || {
                 let mut t = LockThread::new(htm.thread(0));
-                // Only start once the reader flag is up, so the first (and
-                // only) HTM attempt is guaranteed to hit the commit check.
+                // Only start once the reader flag is up, so every HTM
+                // attempt is guaranteed to hit the commit check.
                 let mut spin = clock::SpinWait::new();
                 while !pair.outer.any_reader_flag_set(htm.memory(), 0) {
                     spin.snooze();

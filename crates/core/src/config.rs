@@ -1,7 +1,5 @@
 //! SpRWL configuration: scheduling variants, reader tracking, optimizations.
 
-use sprwl_locks::RetryPolicy;
-
 /// Which of the paper's scheduling schemes are active.
 ///
 /// These are exactly the variants of the §4.1.1 ablation (Fig. 5):
@@ -99,84 +97,6 @@ impl DeltaPolicy {
     }
 }
 
-/// Capacity stretching for big-footprint writers (the POWER8
-/// capacity-stretching techniques — rollback-only transactions,
-/// suspend/resume, transaction splitting — applied to SpRWL's write path).
-///
-/// With stretching off, a writer whose footprint overflows the capacity
-/// profile falls straight to the global lock on every execution. With it
-/// on, the writer escalates per section through a ladder:
-///
-/// 1. **direct** — the plain HTM attempt (reads and writes both tracked);
-/// 2. **ROT** — a rollback-only transaction: reads untracked (zero read
-///    capacity cost), writes buffered, with the commit-time reader check
-///    run from *suspended* state since a ROT cannot subscribe the fallback
-///    lock transactionally;
-/// 3. **split** — the section body runs once against a chunking write
-///    buffer under the writer's fallback ticket, each full chunk flushed
-///    as an ordered sub-transaction that fits the profile's write budget.
-///
-/// The rung a section *starts* at is sticky per section (escalated on
-/// capacity aborts) and, under [`SprwlConfig::self_tuning`], decayed back
-/// toward `direct` by the tuner's `stretch-level` knob when a window
-/// passes without capacity pressure. Profiles without POWER8's
-/// suspend/resume ([`htm_sim::CapacityProfile::supports_rot`]) skip the
-/// ROT rung and escalate `direct` → `split`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StretchPolicy {
-    /// Master switch. Off by default: stretching changes commit modes and
-    /// trace shapes, which golden traces and static baselines don't expect.
-    pub enabled: bool,
-    /// Retry budget for the ROT rung (conflict/reader aborts retry within
-    /// it; a capacity abort escalates to the split rung immediately).
-    pub rot_attempts: u32,
-    /// Distinct cache lines per split sub-transaction. 0 = auto: the
-    /// capacity profile's HTM write budget.
-    pub split_chunk_lines: usize,
-    /// Probe-backoff floor for sections stuck on a stretched rung
-    /// (0 = never probe). Stretched rungs serialize against every other
-    /// writer, so a section whose footprint shrank back under the HTM
-    /// budget must not pay that exclusion forever: the section
-    /// periodically re-tries the direct rung, with exponential backoff —
-    /// a failed probe (another capacity abort) doubles the wait up to
-    /// [`StretchPolicy::PROBE_BACKOFF_MAX`], a successful one resets the
-    /// sticky level and the backoff. Bimodal sections (TPC-C Delivery:
-    /// footprint tracks the order backlog) probe often and mostly win;
-    /// persistently big ones (long range updates) converge to one cheap
-    /// failed probe per backoff cap. The writer-side twin of
-    /// `adaptive_reader_htm`'s §3.4 skip budget.
-    pub probe_window: u32,
-}
-
-impl StretchPolicy {
-    /// Stretching disabled (the default).
-    pub const OFF: StretchPolicy = StretchPolicy {
-        enabled: false,
-        rot_attempts: 0,
-        split_chunk_lines: 0,
-        probe_window: 0,
-    };
-
-    /// The paper-shaped default when stretching is on: the RW-LE ROT retry
-    /// budget, auto-sized split chunks.
-    pub const ON: StretchPolicy = StretchPolicy {
-        enabled: true,
-        rot_attempts: 5,
-        split_chunk_lines: 0,
-        probe_window: 1,
-    };
-
-    /// Ceiling for the probe backoff: at most one wasted direct attempt
-    /// per this many executions of a persistently oversized section.
-    pub const PROBE_BACKOFF_MAX: u32 = 64;
-}
-
-impl Default for StretchPolicy {
-    fn default() -> Self {
-        Self::OFF
-    }
-}
-
 /// Distinct [`sprwl_locks::SectionId`]s a lock tracks: the duration
 /// estimator and every per-section table are this long.
 pub const MAX_SECTIONS: usize = 64;
@@ -199,9 +119,6 @@ pub struct SprwlConfig {
     /// the simulator's (much higher) per-access instrumentation cost on
     /// every long read, so the predictive variant is the default here.
     pub adaptive_reader_htm: bool,
-    /// Retry budget for writers (readers' optimistic HTM attempts always
-    /// use [`RetryPolicy::PAPER_DEFAULT`]).
-    pub writer_retry: RetryPolicy,
     /// δ slack for writer synchronization.
     pub delta: DeltaPolicy,
     /// §3.3: use a versioned SGL so readers cannot starve behind a stream
@@ -213,19 +130,29 @@ pub struct SprwlConfig {
     /// §3.4: readers park with a timed wait (using the writer's advertised
     /// end time) instead of polling the writer's state flag.
     pub timed_reader_wait: bool,
-    /// Runtime self-tuning (see [`crate::tuner`]): watch each section's
-    /// abort mix over a sliding window and adjust its policy knobs —
-    /// boost δ-start under join-the-waiter (reader-caused) abort
-    /// pressure, demote chronically capacity-aborting sections off the
-    /// optimistic reader-HTM path, and (under `Adaptive` tracking)
-    /// request the flags→SNZI switch from observed reader-scan pressure.
-    /// Off by default: the tuner changes lock behaviour at runtime, which
-    /// would perturb deterministic golden traces and static-config
-    /// baselines that don't expect it.
-    pub self_tuning: bool,
-    /// Capacity stretching for big-footprint writers (ROT + suspend/resume
-    /// + splitting; see [`StretchPolicy`]). Off by default.
-    pub stretch: StretchPolicy,
+    /// Capacity stretching for big-footprint writers (DESIGN §6i): the
+    /// POWER8 capacity-stretching techniques — rollback-only transactions,
+    /// suspend/resume, transaction splitting — applied to SpRWL's write
+    /// path. With it off, a writer whose footprint overflows the capacity
+    /// profile falls straight to the global lock on every execution. With
+    /// it on, a section escalates on capacity aborts through a ladder:
+    ///
+    /// 1. **direct** — the plain HTM attempt (reads and writes tracked);
+    /// 2. **ROT** — a rollback-only transaction: reads untracked, writes
+    ///    buffered, the commit-time reader check run from *suspended*
+    ///    state, retried under RW-LE's ROT budget
+    ///    ([`sprwl_locks::RetryPolicy::RWLE_ROT`]);
+    /// 3. **split** — the body runs once under the fallback ticket, its
+    ///    writes flushed as ordered sub-transactions of the profile's HTM
+    ///    write budget.
+    ///
+    /// The rung a section starts at is sticky per section; a section
+    /// stuck on a stretched rung re-probes the direct rung with
+    /// exponential backoff. Profiles without suspend/resume
+    /// ([`htm_sim::CapacityProfile::supports_rot`]) skip the ROT rung. Off
+    /// by default: stretching changes commit modes and trace shapes,
+    /// which golden traces and static baselines don't expect.
+    pub stretch: bool,
     /// **Test-only fault injection**: skip the commit-time reader check
     /// (`check_for_readers`), deliberately re-introducing the torn-read
     /// window SpRWL's W-checkR step exists to close. Exists so the
@@ -242,13 +169,11 @@ impl Default for SprwlConfig {
             reader_tracking: ReaderTracking::Flags,
             readers_try_htm: true,
             adaptive_reader_htm: true,
-            writer_retry: RetryPolicy::PAPER_DEFAULT,
             delta: DeltaPolicy::HalfWriterDuration,
             versioned_sgl: false,
             sample_all_threads: false,
             timed_reader_wait: false,
-            self_tuning: false,
-            stretch: StretchPolicy::OFF,
+            stretch: false,
             debug_skip_commit_reader_check: false,
         }
     }
@@ -314,18 +239,10 @@ impl SprwlConfig {
         }
     }
 
-    /// The full algorithm with the runtime per-section self-tuner on.
-    pub fn self_tuning() -> Self {
-        Self {
-            self_tuning: true,
-            ..Self::default()
-        }
-    }
-
     /// The full algorithm with capacity stretching for writers on.
     pub fn stretching() -> Self {
         Self {
-            stretch: StretchPolicy::ON,
+            stretch: true,
             ..Self::default()
         }
     }

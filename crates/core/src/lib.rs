@@ -63,10 +63,9 @@ pub mod packed;
 mod reader;
 pub mod reader_table;
 mod stretch;
-pub mod tuner;
 mod writer;
 
 pub use composed::{InnerMode, SpRwlPair};
-pub use config::{DeltaPolicy, ReaderTracking, Scheduling, SprwlConfig, StretchPolicy};
+pub use config::{DeltaPolicy, ReaderTracking, Scheduling, SprwlConfig};
 pub use estimator::DurationEstimator;
 pub use lock::SpRwl;

@@ -40,7 +40,7 @@ impl Slot {
     }
 }
 
-pub(crate) fn slots(n: usize, init: u64) -> Box<[Slot]> {
+fn slots(n: usize, init: u64) -> Box<[Slot]> {
     let mut v = Vec::with_capacity(n);
     v.resize_with(n, || Slot::new(init));
     v.into_boxed_slice()
@@ -159,13 +159,13 @@ pub struct SpRwl {
     pub(crate) htm_skip: Box<[Slot]>,
     /// Per-section stretching rung a capacity-pressured section *starts*
     /// at (0 = direct HTM, 1 = ROT, 2 = split). Escalated in place by the
-    /// write path when a rung overflows; decayed back toward 0 by the
-    /// tuner's `stretch-level` knob when a window passes with no capacity
-    /// pressure. All-zero (and never consulted) while `cfg.stretch` is off.
+    /// write path when a rung overflows; reset to 0 when a probe of the
+    /// direct rung commits. All-zero (and never consulted) while
+    /// `cfg.stretch` is off.
     pub(crate) stretch_level: Box<[Slot]>,
-    /// Per-section execution counter behind `StretchPolicy::probe_window`:
-    /// every window-th execution of a section stuck on a stretched rung
-    /// re-probes the direct rung (see [`crate::writer`]).
+    /// Per-section probe schedule of a section stuck on a stretched rung:
+    /// the countdown to its next direct-rung probe (low half) and the
+    /// current backoff (high half; see [`crate::writer`]).
     pub(crate) stretch_probe: Box<[Slot]>,
     /// Global EWMA of read critical-section durations (adaptive policy).
     pub(crate) avg_read_ns: Slot,
@@ -173,9 +173,6 @@ pub struct SpRwl {
     pub(crate) avg_write_ns: Slot,
     /// Timestamp of the last mode switch (hysteresis).
     pub(crate) last_switch_ns: Slot,
-    /// Runtime per-section self-tuner (`cfg.self_tuning`); `None` when the
-    /// feedback loop is off.
-    pub(crate) tuner: Option<crate::tuner::SectionTuner>,
 }
 
 /// How many executions a capacity-doomed section skips its optimistic HTM
@@ -222,9 +219,6 @@ impl SpRwl {
         let readers = ReaderTable::new(mem, n, cfg.reader_tracking);
         let est = DurationEstimator::new(MAX_SECTIONS, cfg.sample_all_threads);
         let htm_skip = slots(MAX_SECTIONS, 0);
-        let tuner = cfg
-            .self_tuning
-            .then(|| crate::tuner::SectionTuner::new(MAX_SECTIONS));
         Ok(Self {
             n,
             fallback,
@@ -242,7 +236,6 @@ impl SpRwl {
             avg_read_ns: Slot::new(0),
             avg_write_ns: Slot::new(0),
             last_switch_ns: Slot::new(0),
-            tuner,
             cfg,
         })
     }
@@ -359,26 +352,6 @@ impl SpRwl {
     #[doc(hidden)]
     pub fn debug_bias_state(&self, mem: &SimMemory) -> u64 {
         self.readers.bias_state(mem)
-    }
-
-    /// Test hook: the tuner's bias re-arm knob.
-    #[doc(hidden)]
-    pub fn debug_set_bias_enabled(&self, on: bool) {
-        self.readers.set_bias_enabled(on)
-    }
-
-    /// Test hook: whether readers may currently re-arm bias.
-    #[doc(hidden)]
-    pub fn debug_bias_enabled(&self) -> bool {
-        self.readers.bias_enabled()
-    }
-
-    /// Test hook: arm the BRAVO bias immediately, bypassing the re-arm
-    /// cooldown — lets tests manufacture sustained revocation pressure
-    /// deterministically.
-    #[doc(hidden)]
-    pub fn debug_arm_bias(&self, d: &Direct<'_>) {
-        self.readers.force_arm_bias(d)
     }
 
     /// Test hook: the per-section stretching rung (0 = direct, 1 = ROT,

@@ -83,12 +83,10 @@ impl SpRwl {
                             mode: CommitMode::Htm.label(),
                             latency_ns,
                         });
-                        self.tuner_after_section(t, sec);
                         return r;
                     }
                     Err(abort) => {
                         note_abort(t, abort, TxKind::Htm);
-                        self.tuner_note_abort(sec, abort, TxKind::Htm);
                         if abort.is_capacity() && self.cfg.adaptive_reader_htm {
                             self.htm_skip[sec.index()].store(crate::lock::HTM_PROBE_WINDOW);
                         }
@@ -156,7 +154,6 @@ impl SpRwl {
             mode: CommitMode::Unins.label(),
             latency_ns,
         });
-        self.tuner_after_section(t, sec);
         r
     }
 

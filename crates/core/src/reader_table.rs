@@ -102,9 +102,6 @@ pub(crate) struct ReaderTable {
     /// Bravo: the hashed visible-readers table, one padded line per slot.
     /// A slot holds `tid + 1`, or 0 when free.
     visible: Vec<CellId>,
-    /// Tuner knob: when 0, readers stop re-arming bias (writer-pressure
-    /// response); revocation then makes `BIAS_OFF` sticky.
-    bias_enabled: Slot,
     /// Earliest instant (ns) readers may re-arm bias after a revocation.
     rearm_at: Slot,
     /// The adaptive re-arm cooldown currently in force, ns: multiplies by
@@ -151,7 +148,6 @@ impl ReaderTable {
             mode_cell,
             bias_cell,
             visible,
-            bias_enabled: Slot::new(1),
             rearm_at: Slot::new(0),
             rearm_cooldown_ns: Slot::new(BIAS_REARM_COOLDOWN_NS),
             rearmed_at: Slot::new(0),
@@ -176,16 +172,6 @@ impl ReaderTable {
     /// Untracked peek of the Bravo bias word (callers guarantee Bravo).
     pub(crate) fn bias_state(&self, mem: &SimMemory) -> u64 {
         snzi::root_tag(mem.peek(self.bias_cell.expect("bravo tracking")))
-    }
-
-    /// Tuner knob: allow or forbid readers from re-arming bias.
-    pub(crate) fn set_bias_enabled(&self, on: bool) {
-        self.bias_enabled.store(u64::from(on));
-    }
-
-    /// Whether readers currently may re-arm bias (the tuner knob).
-    pub(crate) fn bias_enabled(&self) -> bool {
-        self.bias_enabled.load() != 0
     }
 
     /// Announces thread `tid` as an active reader. The untracked store to
@@ -234,7 +220,6 @@ impl ReaderTable {
         let mut bias_on = snzi::root_tag(word) == BIAS_ON;
         if !bias_on
             && snzi::root_tag(word) == BIAS_OFF
-            && self.bias_enabled()
             && clock::now() >= self.rearm_at.load()
             && d.compare_exchange(bias, word, snzi::with_root_tag(word, BIAS_ON))
                 .is_ok()
@@ -437,27 +422,6 @@ impl ReaderTable {
             }
         }
         Some((occupied, self.visible.len() as u64))
-    }
-
-    /// Test hook (via `SpRwl::debug_arm_bias`): arm the bias immediately,
-    /// ignoring the re-arm cooldown and the `bias_enabled` knob. The CAS
-    /// retries across count traffic but never stomps a revocation in
-    /// flight.
-    pub(crate) fn force_arm_bias(&self, d: &Direct<'_>) {
-        let bias = self.bias_cell.expect("bravo tracking");
-        let mem = d.htm().memory();
-        loop {
-            let w = mem.peek(bias);
-            if snzi::root_tag(w) != BIAS_OFF {
-                return;
-            }
-            if d.compare_exchange(bias, w, snzi::with_root_tag(w, BIAS_ON))
-                .is_ok()
-            {
-                self.rearmed_at.store(clock::now());
-                return;
-            }
-        }
     }
 
     /// Quiescence invariants of the tracking structures: all state flags

@@ -2,7 +2,7 @@
 //!
 //! The POWER8 capacity-stretching techniques give SpRWL writers a ladder
 //! past the per-profile footprint limits (see
-//! [`crate::config::StretchPolicy`]). The first stretched rung — the
+//! [`crate::config::SprwlConfig::stretch`]). The first stretched rung — the
 //! rollback-only transaction with its suspended commit check — lives in
 //! [`crate::writer`] next to the plain HTM loop it mirrors. This module
 //! holds the final rung: **transaction splitting**, for write-sets that

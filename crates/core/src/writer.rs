@@ -3,12 +3,12 @@
 //! (§3.2.1, Alg. 2), the timed retry of writer synchronization (§3.2.2,
 //! Alg. 3), and the capacity-stretching ladder for big-footprint writers
 //! (POWER8-style rollback-only transactions and transaction splitting;
-//! see [`crate::config::StretchPolicy`] and [`crate::stretch`]).
+//! see [`crate::config::SprwlConfig::stretch`] and [`crate::stretch`]).
 
 use htm_sim::clock;
 use htm_sim::{Abort, TxKind};
 use sprwl_locks::{
-    CommitMode, LockThread, Role, SectionBody, SectionId, ABORT_LOCKED, ABORT_READER,
+    CommitMode, LockThread, RetryPolicy, Role, SectionBody, SectionId, ABORT_LOCKED, ABORT_READER,
 };
 use sprwl_trace::{EventKind, TraceBuffer, TraceRole};
 
@@ -17,9 +17,16 @@ use crate::reader::note_abort;
 
 /// The stretching ladder's rungs (the per-section sticky level in
 /// [`SpRwl::stretch_level`] holds one of these).
-pub(crate) const STRETCH_DIRECT: u64 = 0;
-pub(crate) const STRETCH_ROT: u64 = 1;
-pub(crate) const STRETCH_SPLIT: u64 = 2;
+const STRETCH_DIRECT: u64 = 0;
+const STRETCH_ROT: u64 = 1;
+const STRETCH_SPLIT: u64 = 2;
+
+/// Probe backoff of a freshly escalated section: it re-tries the direct
+/// rung after this many executions on the stretched rung.
+const PROBE_BACKOFF_FLOOR: u32 = 1;
+/// Ceiling of the probe backoff: at most one wasted direct attempt per
+/// this many executions of a persistently oversized section.
+const PROBE_BACKOFF_MAX: u32 = 64;
 
 impl SpRwl {
     pub(crate) fn do_write(
@@ -51,12 +58,11 @@ impl SpRwl {
         // the rung this execution *starts* at; capacity aborts escalate
         // within the execution (direct → ROT → split). Profiles without
         // POWER8's suspend/resume have no ROT rung and go straight to the
-        // split. When the self-tuner is on it owns the sticky level (the
-        // `stretch-level` knob); otherwise the write path escalates it in
-        // place, §3.4-skip-budget style.
+        // split. The write path escalates the sticky level in place,
+        // §3.4-skip-budget style.
         let stretch = self.cfg.stretch;
-        let supports_rot = stretch.enabled && t.ctx.htm().config().capacity.supports_rot();
-        let mut level = if stretch.enabled {
+        let supports_rot = stretch && t.ctx.htm().config().capacity.supports_rot();
+        let mut level = if stretch {
             let l = self.stretch_level[sec.index()].load();
             if l == STRETCH_ROT && !supports_rot {
                 STRETCH_SPLIT
@@ -73,12 +79,14 @@ impl SpRwl {
         // an unchanged one re-escalates on the capacity abort below with
         // its probe backoff doubled. The `stretch_probe` slot packs the
         // countdown to the next probe (low half) and the current backoff
-        // (high half); races on it only perturb the probe cadence. The
-        // tuner owns the sticky level when it is on; its `stretch-level`
-        // decay plays the same role there.
+        // (high half); races on it only perturb the probe cadence.
+        // Bimodal sections (TPC-C Delivery: footprint tracks the order
+        // backlog) probe often and mostly win; persistently big ones
+        // converge to one cheap failed probe per `PROBE_BACKOFF_MAX`
+        // executions.
         let mut probing = false;
         let sticky_level = level;
-        if level != STRETCH_DIRECT && self.tuner.is_none() && stretch.probe_window > 0 {
+        if level != STRETCH_DIRECT {
             let slot = &self.stretch_probe[sec.index()];
             let v = slot.load();
             let countdown = v as u32;
@@ -97,7 +105,7 @@ impl SpRwl {
             let mut attempts = 0u32;
             loop {
                 self.fallback.wait_until_free(mem);
-                if stretch.enabled {
+                if stretch {
                     // A stretched ROT may be mid-flight with untracked
                     // reads; don't start an attempt that is doomed to
                     // abort on the gate subscription below.
@@ -110,7 +118,6 @@ impl SpRwl {
                 if self.cfg.reader_tracking == crate::config::ReaderTracking::Bravo {
                     if let Some((occupied, scanned)) = self.readers.revoke_bias(&t.ctx.direct()) {
                         t.trace.push(EventKind::BiasRevoke { occupied, scanned });
-                        self.tuner_note_revoke(sec);
                     }
                 }
                 attempts += 1;
@@ -120,7 +127,7 @@ impl SpRwl {
                 });
                 match t.ctx.txn(TxKind::Htm, |tx| {
                     self.fallback.subscribe(tx)?;
-                    if stretch.enabled {
+                    if stretch {
                         // Subscribe the ROT gate: a stretched writer's
                         // untracked acquire dooms us, so our writes can
                         // never land inside its unmonitored read set.
@@ -154,8 +161,7 @@ impl SpRwl {
                     }
                     Err(abort) => {
                         note_abort(t, abort, TxKind::Htm);
-                        self.tuner_note_abort(sec, abort, TxKind::Htm);
-                        if stretch.enabled && abort.is_capacity() {
+                        if stretch && abort.is_capacity() {
                             // Retrying cannot help a footprint overflow —
                             // climb to the next rung instead of falling to
                             // the lock. Untracked ROT reads only cure a
@@ -177,27 +183,22 @@ impl SpRwl {
                             // overflowed before (sticky level = split), don't
                             // re-run that doomed experiment.
                             level = level.max(sticky_level);
-                            if self.tuner.is_none() {
-                                self.stretch_level[sec.index()].store(level);
-                                if stretch.probe_window > 0 {
-                                    // Schedule the next probe: a failed one
-                                    // doubles the wait (capped), a fresh
-                                    // escalation starts at the floor.
-                                    let slot = &self.stretch_probe[sec.index()];
-                                    let backoff = if probing {
-                                        ((slot.load() >> 32) as u32).saturating_mul(2).clamp(
-                                            stretch.probe_window,
-                                            crate::config::StretchPolicy::PROBE_BACKOFF_MAX,
-                                        )
-                                    } else {
-                                        stretch.probe_window
-                                    };
-                                    slot.store(u64::from(backoff) | (u64::from(backoff) << 32));
-                                }
-                            }
+                            self.stretch_level[sec.index()].store(level);
+                            // Schedule the next probe: a failed one doubles
+                            // the wait (capped), a fresh escalation starts
+                            // at the floor.
+                            let slot = &self.stretch_probe[sec.index()];
+                            let backoff = if probing {
+                                ((slot.load() >> 32) as u32)
+                                    .saturating_mul(2)
+                                    .clamp(PROBE_BACKOFF_FLOOR, PROBE_BACKOFF_MAX)
+                            } else {
+                                PROBE_BACKOFF_FLOOR
+                            };
+                            slot.store(u64::from(backoff) | (u64::from(backoff) << 32));
                             break;
                         }
-                        if !self.cfg.writer_retry.should_retry(attempts, abort) {
+                        if !RetryPolicy::PAPER_DEFAULT.should_retry(attempts, abort) {
                             break;
                         }
                         // Alg. 3: after a reader-induced abort, delay the retry
@@ -238,7 +239,6 @@ impl SpRwl {
         // uninstrumented and concurrent.
         if committed.is_none() && level == STRETCH_ROT && supports_rot {
             self.rot_gate.acquire(&t.ctx.direct());
-            let budget = stretch.rot_attempts.max(1);
             let mut attempts = 0u32;
             loop {
                 self.fallback.wait_until_free(mem);
@@ -287,16 +287,13 @@ impl SpRwl {
                     }
                     Err(abort) => {
                         note_abort(t, abort, TxKind::Rot);
-                        self.tuner_note_abort(sec, abort, TxKind::Rot);
                         if abort.is_capacity() {
                             // Overflowed even the stretched budget: split.
                             level = STRETCH_SPLIT;
-                            if self.tuner.is_none() {
-                                self.stretch_level[sec.index()].store(level);
-                            }
+                            self.stretch_level[sec.index()].store(level);
                             break;
                         }
-                        if attempts >= budget {
+                        if !RetryPolicy::RWLE_ROT.should_retry(attempts, abort) {
                             break;
                         }
                         if self.cfg.scheduling.writers_wait()
@@ -329,7 +326,6 @@ impl SpRwl {
                 mode: mode.label(),
                 latency_ns,
             });
-            self.tuner_after_section(t, sec);
             return r;
         }
 
@@ -346,12 +342,8 @@ impl SpRwl {
         }
         self.wait_for_readers(&d, tid);
         let t0 = clock::now();
-        let r = if stretch.enabled && level == STRETCH_SPLIT {
-            let chunk_lines = if stretch.split_chunk_lines > 0 {
-                stretch.split_chunk_lines
-            } else {
-                t.ctx.htm().config().capacity.write_lines
-            };
+        let r = if stretch && level == STRETCH_SPLIT {
+            let chunk_lines = t.ctx.htm().config().capacity.write_lines;
             crate::stretch::run_split(t, f, chunk_lines)
         } else {
             let mut acc = t.ctx.direct();
@@ -370,7 +362,7 @@ impl SpRwl {
             t.ctx.direct().store(self.readers.state[tid], STATE_EMPTY);
             self.clock_w[tid].store(0);
         }
-        if stretch.enabled {
+        if stretch {
             // Mark our in-place writes for mid-flight ROTs *before* the
             // ticket release makes the lock word look innocent again (see
             // `SpRwl::rot_epoch`). We hold the ticket, so the bump is
@@ -391,7 +383,6 @@ impl SpRwl {
             mode: CommitMode::Gl.label(),
             latency_ns,
         });
-        self.tuner_after_section(t, sec);
         r
     }
 
@@ -423,9 +414,7 @@ impl SpRwl {
             return;
         }
         let my_duration = self.est.estimate(sec);
-        // The configured policy plus whatever per-section boost the runtime
-        // self-tuner has accumulated for this section (0 when tuning is off).
-        let delta = self.cfg.delta.resolve(my_duration) + self.tuner_delta_boost(sec);
+        let delta = self.cfg.delta.resolve(my_duration);
         // Start so that (start + my_duration) == last_reader_end + delta.
         let start_at = (last_reader_end + delta).saturating_sub(my_duration);
         trace.push(EventKind::SchedDeltaStart { start_at });

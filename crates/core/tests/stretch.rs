@@ -1,11 +1,13 @@
-//! White-box coverage of the capacity-stretching ladder (`StretchPolicy`):
-//! oversized writers escalate direct → ROT → split instead of pinning the
-//! global lock per execution, the sticky per-section rung remembers the
-//! escalation, and the trace shows `stretch-*` events for each rung.
+//! White-box coverage of the capacity-stretching ladder
+//! (`SprwlConfig::stretch`): oversized writers escalate direct → ROT →
+//! split instead of pinning the global lock per execution, the sticky
+//! per-section rung remembers the escalation, the direct-rung probe finds
+//! the way back with exponential backoff, and the trace shows `stretch-*`
+//! events for each rung.
 
-use htm_sim::{CapacityProfile, Htm, HtmConfig};
-use sprwl::{DeltaPolicy, SpRwl, SprwlConfig, StretchPolicy};
-use sprwl_locks::{CommitMode, LockThread, RwSync, SectionId};
+use htm_sim::{CapacityProfile, Htm, HtmConfig, MemAccess, Region, TxResult};
+use sprwl::{DeltaPolicy, SpRwl, SprwlConfig};
+use sprwl_locks::{AbortCause, CommitMode, LockThread, RwSync, SectionId};
 use sprwl_trace::{ThreadTrace, TraceConfig};
 
 const SEC_W: SectionId = SectionId(0);
@@ -24,7 +26,7 @@ fn htm(profile: CapacityProfile) -> Htm {
 
 fn stretch_cfg() -> SprwlConfig {
     SprwlConfig {
-        stretch: StretchPolicy::ON,
+        stretch: true,
         readers_try_htm: false,
         delta: DeltaPolicy::Zero,
         ..SprwlConfig::default()
@@ -190,8 +192,100 @@ fn stretch_off_keeps_capacity_writers_on_plain_fallback() {
 /// `SprwlConfig::stretching()` is the documented way to turn the ladder on.
 #[test]
 fn stretching_constructor_enables_the_ladder() {
-    let cfg = SprwlConfig::stretching();
-    assert!(cfg.stretch.enabled);
-    assert!(cfg.stretch.rot_attempts > 0);
-    assert!(!SprwlConfig::default().stretch.enabled);
+    assert!(SprwlConfig::stretching().stretch);
+    assert!(!SprwlConfig::default().stretch);
+}
+
+/// The probe is the only way back from a stretched rung. On Broadwell a
+/// 70-line section escalates to the split rung; once its body shrinks to
+/// one line, the next execution still runs on the sticky rung (the probe
+/// countdown starts at the backoff floor of 1), and the one after probes
+/// the direct rung, commits in HTM and resets the sticky level. (TINY
+/// cannot show this: the fallback, the ROT gate and the reader flags
+/// alone overflow its 4-line read budget on every direct attempt.)
+#[test]
+fn shrunken_section_probes_back_to_the_direct_rung() {
+    let h = htm(CapacityProfile::BROADWELL_SIM);
+    let lock = SpRwl::new(&h, stretch_cfg());
+    let cells = h.memory().alloc_line_aligned(70 * 8);
+    let mut t = LockThread::new(h.thread(0));
+    let write = |t: &mut LockThread<'_>, lines: usize| {
+        lock.write_section(t, SEC_W, &mut |a| {
+            for i in 0..lines {
+                a.write(cells.cell(i * 8), 1)?;
+            }
+            Ok(0)
+        });
+    };
+    write(&mut t, 70);
+    assert_eq!(lock.debug_stretch_level(SEC_W), 2);
+    assert_eq!(t.stats.commits_in(CommitMode::Gl), 1);
+
+    write(&mut t, 1);
+    assert_eq!(
+        t.stats.commits_in(CommitMode::Gl),
+        2,
+        "the execution after the escalation must stay on the sticky rung"
+    );
+    assert_eq!(t.stats.commits_in(CommitMode::Htm), 0);
+    assert_eq!(lock.debug_stretch_level(SEC_W), 2);
+
+    write(&mut t, 1);
+    assert_eq!(
+        t.stats.commits_in(CommitMode::Htm),
+        1,
+        "the probe must commit the shrunken body in HTM"
+    );
+    assert_eq!(t.stats.commits_in(CommitMode::Gl), 2);
+    assert_eq!(lock.debug_stretch_level(SEC_W), 0);
+}
+
+/// Runs `body` over 200 line-aligned cells as section `SEC_W`, 200
+/// times, and returns the (1-based) executions whose direct-rung attempt
+/// capacity-aborted.
+fn direct_capacity_aborts(
+    profile: CapacityProfile,
+    body: fn(&mut dyn MemAccess, &Region) -> TxResult<u64>,
+) -> Vec<u32> {
+    let h = htm(profile);
+    let lock = SpRwl::new(&h, stretch_cfg());
+    let cells = h.memory().alloc_line_aligned(200 * 8);
+    let mut t = LockThread::new(h.thread(0));
+    let mut hits = Vec::new();
+    for exec in 1..=200 {
+        let before = t.stats.aborts_of(AbortCause::Capacity);
+        lock.write_section(&mut t, SEC_W, &mut |a| body(a, &cells));
+        match t.stats.aborts_of(AbortCause::Capacity) - before {
+            0 => {}
+            1 => hits.push(exec),
+            n => panic!("execution {exec} paid {n} direct-rung capacity aborts"),
+        }
+    }
+    hits
+}
+
+/// A section that never shrinks pays one failed probe per backoff: the
+/// backoff starts at 1 execution, doubles on every failed probe and caps
+/// at 64, so 200 executions pay exactly nine direct-rung capacity aborts.
+/// The same schedule holds whether the stretched rung is the split (TINY,
+/// a 6-line write set) or the ROT (POWER8, a 200-line read set).
+#[test]
+fn failed_probes_back_off_exponentially_up_to_the_cap() {
+    const SCHEDULE: [u32; 9] = [1, 3, 6, 11, 20, 37, 70, 135, 200];
+    let split = direct_capacity_aborts(CapacityProfile::TINY, |a, cells| {
+        for i in 0..6 {
+            a.write(cells.cell(i * 8), 1)?;
+        }
+        Ok(0)
+    });
+    assert_eq!(split, SCHEDULE, "split-rung probe schedule");
+    let rot = direct_capacity_aborts(CapacityProfile::POWER8_SIM, |a, cells| {
+        let mut acc = 0u64;
+        for i in 0..200 {
+            acc = acc.wrapping_add(a.read(cells.cell(i * 8))?);
+        }
+        a.write(cells.cell(0), acc)?;
+        Ok(acc)
+    });
+    assert_eq!(rot, SCHEDULE, "ROT-rung probe schedule");
 }

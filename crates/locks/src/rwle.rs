@@ -50,8 +50,6 @@ pub struct RwLe {
     /// Held by the one writer in its ROT phase or lock fallback.
     gate: GlobalLock,
     seq: Box<[SeqSlot]>,
-    htm_policy: RetryPolicy,
-    rot_policy: RetryPolicy,
 }
 
 impl RwLe {
@@ -74,8 +72,6 @@ impl RwLe {
             gl: GlobalLock::new(htm.memory()),
             gate: GlobalLock::new(htm.memory()),
             seq: seq.into_boxed_slice(),
-            htm_policy: RetryPolicy::RWLE_ROT,
-            rot_policy: RetryPolicy::RWLE_ROT,
         }
     }
 
@@ -169,7 +165,7 @@ impl RwSync for RwLe {
                 Err(abort) => {
                     t.stats
                         .record_abort(AbortCause::classify(abort, TxKind::Htm));
-                    if !self.htm_policy.should_retry(attempts, abort) {
+                    if !RetryPolicy::RWLE_ROT.should_retry(attempts, abort) {
                         break;
                     }
                 }
@@ -203,7 +199,7 @@ impl RwSync for RwLe {
                 Err(abort) => {
                     t.stats
                         .record_abort(AbortCause::classify(abort, TxKind::Rot));
-                    if !self.rot_policy.should_retry(attempts, abort) {
+                    if !RetryPolicy::RWLE_ROT.should_retry(attempts, abort) {
                         break;
                     }
                 }

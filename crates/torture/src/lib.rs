@@ -1868,9 +1868,9 @@ pub fn det_matrix(threads: usize, ops_per_thread: usize) -> Vec<TortureSpec> {
         },
     ));
 
-    // The capacity-stretching acceptance cases (TINY + `StretchPolicy`
-    // on). `det-capacity-rot`'s writers scan four extra pairs before
-    // their increment — ten padded read lines against TINY's four-line
+    // The capacity-stretching acceptance cases (TINY + `stretch` on).
+    // `det-capacity-rot`'s writers scan four extra pairs before their
+    // increment — ten padded read lines against TINY's four-line
     // read budget guarantees the HTM rung aborts on capacity, while the
     // 2-line write set still fits the ROT budget, so every writer must
     // land on the rollback-only rung. `det-capacity-split`'s spanning

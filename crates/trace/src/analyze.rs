@@ -183,9 +183,6 @@ pub struct Report {
     pub line_heat: Vec<LineEntry>,
     /// Reader/writer interference timeline.
     pub timeline: Timeline,
-    /// Self-tuner decisions observed, in timestamp order:
-    /// `(ts, tid, knob, sec, value)`.
-    pub tune_decisions: Vec<(u64, u32, String, u32, u64)>,
 }
 
 impl Report {
@@ -220,13 +217,6 @@ enum Rec {
         line: Option<u64>,
         peer: Option<u32>,
     },
-    Tune {
-        tid: u32,
-        ts: u64,
-        knob: String,
-        sec: u32,
-        value: u64,
-    },
     Other {
         tid: u32,
         ts: u64,
@@ -239,7 +229,6 @@ impl Rec {
             Rec::Begin { ts, .. }
             | Rec::End { ts, .. }
             | Rec::Abort { ts, .. }
-            | Rec::Tune { ts, .. }
             | Rec::Other { ts, .. } => *ts,
         }
     }
@@ -249,7 +238,6 @@ impl Rec {
             Rec::Begin { tid, .. }
             | Rec::End { tid, .. }
             | Rec::Abort { tid, .. }
-            | Rec::Tune { tid, .. }
             | Rec::Other { tid, .. } => *tid,
         }
     }
@@ -313,13 +301,6 @@ pub fn analyze_with(text: &str, cfg: &AnalyzeConfig) -> Result<Report, String> {
                 cause: json_str(line, "cause").unwrap_or("?").to_string(),
                 line: json_u64(line, "line"),
                 peer: json_u64(line, "peer").map(|p| p as u32),
-            },
-            "tune-decision" => Rec::Tune {
-                tid,
-                ts,
-                knob: json_str(line, "knob").unwrap_or("?").to_string(),
-                sec: json_u64(line, "sec").unwrap_or(0) as u32,
-                value: json_u64(line, "value").unwrap_or(0),
             },
             _ => Rec::Other { tid, ts },
         };
@@ -423,17 +404,6 @@ pub fn analyze_with(text: &str, cfg: &AnalyzeConfig) -> Result<Report, String> {
                         *e.1.entry(*p).or_default() += w;
                     }
                 }
-            }
-            Rec::Tune {
-                tid,
-                ts,
-                knob,
-                sec,
-                value,
-            } => {
-                report
-                    .tune_decisions
-                    .push((*ts, *tid, knob.clone(), *sec, *value));
             }
             Rec::Other { .. } => {}
         }
@@ -595,21 +565,7 @@ impl Report {
         push_u64_array(&mut s, &self.timeline.conflict_aborts);
         s.push_str(",\"capacity_aborts\":");
         push_u64_array(&mut s, &self.timeline.capacity_aborts);
-        s.push_str("},\n");
-        s.push_str("  \"tune_decisions\": [\n");
-        for (i, (ts, tid, knob, sec, value)) in self.tune_decisions.iter().enumerate() {
-            let _ = write!(
-                s,
-                "    {{\"ts\":{},\"tid\":{},\"knob\":\"{}\",\"sec\":{},\"value\":{}}}",
-                ts, tid, knob, sec, value
-            );
-            s.push_str(if i + 1 < self.tune_decisions.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        s.push_str("  ]\n}\n");
+        s.push_str("}\n}\n");
         s
     }
 }
@@ -773,7 +729,6 @@ mod tests {
         assert!(j.contains("\"top_pairs\""));
         assert!(j.contains("\"line_heat\""));
         assert!(j.contains("\"timeline\""));
-        assert!(j.contains("\"tune_decisions\""));
     }
 
     #[test]
@@ -791,43 +746,5 @@ mod tests {
         assert!(analyze("{\"tid\":1,\"ev\":\"tx-abort\"}\n").is_err());
         // Headers without "ev" are metadata, not errors.
         assert!(analyze("{\"case\":\"demo\"}\n").unwrap().events == 0);
-    }
-
-    #[test]
-    fn tune_decisions_are_surfaced() {
-        let t = ThreadTrace::full(
-            0,
-            vec![
-                ev(
-                    10,
-                    EventKind::SectionBegin {
-                        role: TraceRole::Writer,
-                        sec: 2,
-                    },
-                ),
-                ev(
-                    20,
-                    EventKind::SectionEnd {
-                        role: TraceRole::Writer,
-                        sec: 2,
-                        mode: "HTM",
-                        latency_ns: 10,
-                    },
-                ),
-                ev(
-                    21,
-                    EventKind::TuneDecision {
-                        knob: "delta-boost",
-                        sec: 2,
-                        value: 800,
-                    },
-                ),
-            ],
-            0,
-        );
-        let r = analyze(&export::jsonl(&[t])).unwrap();
-        assert_eq!(r.tune_decisions.len(), 1);
-        assert_eq!(r.tune_decisions[0].2, "delta-boost");
-        assert_eq!(r.tune_decisions[0].4, 800);
     }
 }

@@ -82,9 +82,6 @@ fn push_kind_fields(out: &mut String, kind: &EventKind) {
         EventKind::SglWaitSenior { my_version } => {
             let _ = write!(out, r#""my_version":{}"#, my_version);
         }
-        EventKind::TuneDecision { knob, sec, value } => {
-            let _ = write!(out, r#""knob":"{}","sec":{},"value":{}"#, knob, sec, value);
-        }
         EventKind::BiasRevoke { occupied, scanned } => {
             let _ = write!(out, r#""occupied":{},"scanned":{}"#, occupied, scanned);
         }
@@ -534,27 +531,6 @@ mod tests {
         let c = chrome_trace_json(&t);
         assert!(c.contains(r#""name":"sampling","ph":"M""#));
         assert!(c.contains(r#""rate":16"#));
-    }
-
-    #[test]
-    fn jsonl_tune_decision_fields() {
-        let t = vec![ThreadTrace::full(
-            0,
-            vec![ev(
-                7,
-                EventKind::TuneDecision {
-                    knob: "delta-boost",
-                    sec: 3,
-                    value: 1500,
-                },
-            )],
-            0,
-        )];
-        let s = jsonl(&t);
-        assert!(s.contains(r#""ev":"tune-decision""#));
-        assert!(s.contains(r#""knob":"delta-boost""#));
-        assert!(s.contains(r#""sec":3"#));
-        assert!(s.contains(r#""value":1500"#));
     }
 
     #[test]

@@ -174,17 +174,6 @@ pub enum EventKind {
         /// The version this writer holds the lock under.
         my_version: u64,
     },
-    /// The runtime self-tuner adjusted one per-section policy knob. Emitted
-    /// outside any critical section so the decision survives sampling.
-    TuneDecision {
-        /// Static knob name (e.g. `"delta-boost"`, `"htm-skip"`,
-        /// `"tracking-mode"`).
-        knob: &'static str,
-        /// The section the knob applies to.
-        sec: u32,
-        /// The new knob value.
-        value: u64,
-    },
     /// A writer revoked BRAVO reader bias: it flipped the bias word to
     /// `REVOKING`, drained the visible-readers table, and published
     /// `BIAS_OFF` — after which reader tracking falls back to the SNZI.
@@ -259,7 +248,6 @@ impl EventKind {
             EventKind::FallbackRelease => "fallback-release",
             EventKind::SglBypassEnter { .. } => "sgl-bypass-enter",
             EventKind::SglWaitSenior { .. } => "sgl-wait-senior",
-            EventKind::TuneDecision { .. } => "tune-decision",
             EventKind::BiasRevoke { .. } => "bias-revoke",
             EventKind::BiasRearm => "bias-rearm",
             EventKind::StretchRot { .. } => "stretch-rot",
@@ -298,8 +286,8 @@ pub enum TraceConfig {
     /// event of a sampled section (attempts, aborts, scheduler decisions)
     /// is kept, every event of an unsampled one is counted and discarded —
     /// so retry chains stay intact and downstream analysis can rescale
-    /// counts by `rate`. Events outside any section (harness marks, tuner
-    /// decisions) are always recorded.
+    /// counts by `rate`. Events outside any section (harness marks) are
+    /// always recorded.
     Sampled {
         /// Record every `rate`-th section (1 = everything).
         rate: u32,
@@ -767,17 +755,17 @@ mod tests {
         let mut b = TraceBuffer::new(0, TraceConfig::sampled(1000, 64));
         push_section(&mut b, TraceRole::Writer, 0); // sampled (first)
         push_section(&mut b, TraceRole::Writer, 1); // skipped
-        b.push(EventKind::TuneDecision {
-            knob: "delta-boost",
-            sec: 1,
-            value: 500,
+        b.push(EventKind::Mark {
+            label: "harness-mark",
+            a: 1,
+            b: 500,
         });
         push_section(&mut b, TraceRole::Writer, 2); // skipped
         let snap = b.snapshot();
         assert!(
             snap.events
                 .iter()
-                .any(|e| matches!(e.kind, EventKind::TuneDecision { .. })),
+                .any(|e| matches!(e.kind, EventKind::Mark { .. })),
             "out-of-section events must survive sampling"
         );
         assert_eq!(snap.events.len(), 5);
@@ -811,15 +799,6 @@ mod tests {
             }
             .name(),
             "torture-op"
-        );
-        assert_eq!(
-            EventKind::TuneDecision {
-                knob: "delta-boost",
-                sec: 0,
-                value: 0
-            }
-            .name(),
-            "tune-decision"
         );
         assert_eq!(TraceRole::Reader.label(), "reader");
         assert_eq!(TraceRole::Writer.label(), "writer");

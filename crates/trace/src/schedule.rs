@@ -248,11 +248,6 @@ pub fn behavior_fingerprint(traces: &[ThreadTrace]) -> u64 {
                 EventKind::FallbackAcquire { version } => fp.push(*version),
                 EventKind::SglBypassEnter { registered } => fp.push(*registered),
                 EventKind::SglWaitSenior { my_version } => fp.push(*my_version),
-                EventKind::TuneDecision { knob, sec, value } => {
-                    fp.push_str(knob);
-                    fp.push(u64::from(*sec));
-                    fp.push(*value);
-                }
                 EventKind::Mark { label: _, a, b } => {
                     fp.push(*a);
                     fp.push(*b);

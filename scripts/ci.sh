@@ -99,8 +99,9 @@ echo "==> bench_pairs smoke (one build against itself: runs pass their checks, n
 # The same binary on both sides of 2 alternating 1-s pairs: every run must
 # pass its end-of-run checks, and no metric may be judged a gain (the rule
 # needs 10 pairs).
-PAIRS_OUT=$(python3 scripts/bench_pairs.py wallbench/target/release/wallbench \
-    wallbench/target/release/wallbench --workload tpcc-power8 --first-seed 1 \
+WALLBENCH_BIN="${CARGO_TARGET_DIR:-wallbench/target}/release/wallbench"
+PAIRS_OUT=$(python3 scripts/bench_pairs.py "$WALLBENCH_BIN" \
+    "$WALLBENCH_BIN" --workload tpcc-power8 --first-seed 1 \
     --pairs 2 --seconds 1)
 printf '%s\n' "$PAIRS_OUT"
 printf '%s\n' "$PAIRS_OUT" | grep -qx "claimed gains: none"

@@ -125,10 +125,6 @@ def summarize_analyzer(doc: dict) -> None:
             f"abort rate {100 * s['abort_rate']:.1f}%, modes [{modes}], "
             f"lat p50/p99 {lat['p50']}/{lat['p99']}ns"
         )
-    for d in doc.get("tune_decisions", []):
-        print(
-            f"  tune @{d['ts']} tid{d['tid']}: {d['knob']} sec {d['sec']} -> {d['value']}"
-        )
 
 
 def main(path: str) -> None:

@@ -253,7 +253,7 @@ fn bench_trace_overhead(c: &mut Criterion) {
 }
 
 fn bench_estimator(c: &mut Criterion) {
-    let est = sprwl::DurationEstimator::new(8, false);
+    let est = sprwl::DurationEstimator::new(8);
     c.bench_function("estimator/record", |b| {
         b.iter(|| est.record(0, SectionId(2), 1234))
     });

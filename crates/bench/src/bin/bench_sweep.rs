@@ -148,7 +148,6 @@ fn parse_tracking(name: &str) -> Option<ReaderTracking> {
         "SpRWL" => ReaderTracking::Flags,
         "SNZI" => ReaderTracking::Snzi,
         "BRAVO" => ReaderTracking::Bravo,
-        "SpRWL-adaptive" => ReaderTracking::Adaptive,
         _ => return None,
     })
 }
@@ -397,7 +396,7 @@ fn main() -> ExitCode {
                     None => {
                         eprintln!(
                             "error: unknown tracking {name:?} under --server (expected \
-                             SpRWL, SNZI, BRAVO or SpRWL-adaptive)"
+                             SpRWL, SNZI or BRAVO)"
                         );
                         return usage();
                     }

@@ -19,7 +19,7 @@
 use std::time::Duration;
 
 use htm_sim::{CapacityProfile, ConflictPolicy, HtmConfig};
-use sprwl::{DeltaPolicy, SprwlConfig};
+use sprwl::SprwlConfig;
 use sprwl_trace::TraceConfig;
 use sprwl_workloads::tpcc::TpccScale;
 use sprwl_workloads::{HashmapSpec, Mix};
@@ -147,13 +147,12 @@ pub fn figure_points(name: &str, threads: &[usize]) -> Option<Vec<FigurePoint>> 
             );
         }
         // Reader tracking over the reader size, POWER8-sim, 50 % updates:
-        // the paper's flags/SNZI pair plus Adaptive and BRAVO.
+        // the paper's flags/SNZI pair plus BRAVO.
         "fig6" => {
             let profile = CapacityProfile::POWER8_SIM;
             let locks = [
                 SprwlConfig::full(),
                 SprwlConfig::with_snzi(),
-                SprwlConfig::adaptive(),
                 SprwlConfig::with_bravo(),
             ]
             .map(LockKind::Sprwl);
@@ -182,7 +181,7 @@ pub fn figure_points(name: &str, threads: &[usize]) -> Option<Vec<FigurePoint>> 
     Some(pts)
 }
 
-/// The six knob sweeps beyond the paper's own: Broadwell-sim, 10 %
+/// The three knob sweeps beyond the paper's own: Broadwell-sim, 10 %
 /// updates, long readers (and short ones for the readers-try-HTM knob).
 fn ablation_points(threads: usize) -> Vec<FigurePoint> {
     let profile = CapacityProfile::BROADWELL_SIM;
@@ -193,16 +192,7 @@ fn ablation_points(threads: usize) -> Vec<FigurePoint> {
     };
     let d = SprwlConfig::default;
     let mut pts = Vec::new();
-    // 1. δ, the writer-synchronization slack.
-    for (delta, label) in [
-        (DeltaPolicy::Zero, "delta=0"),
-        (DeltaPolicy::HalfWriterDuration, "delta=w/2"),
-        (DeltaPolicy::FixedNs(50_000), "delta=50us"),
-    ] {
-        let cfg = SprwlConfig { delta, ..d() };
-        pts.push(arm("delta-long-u10", long, label, cfg));
-    }
-    // 2. Readers-try-HTM-first: off, predictive, always.
+    // 1. Readers-try-HTM-first: off, predictive, always.
     for (workload, load) in [
         ("reader-htm-long-u10", long),
         ("reader-htm-short-u10", short),
@@ -220,7 +210,7 @@ fn ablation_points(threads: usize) -> Vec<FigurePoint> {
             pts.push(arm(workload, load, label, cfg));
         }
     }
-    // 3. The versioned SGL (reader anti-starvation).
+    // 2. The versioned SGL (reader anti-starvation).
     for (on, label) in [(false, "plain-sgl"), (true, "versioned-sgl")] {
         let cfg = SprwlConfig {
             versioned_sgl: on,
@@ -228,7 +218,7 @@ fn ablation_points(threads: usize) -> Vec<FigurePoint> {
         };
         pts.push(arm("sgl-long-u10", long, label, cfg));
     }
-    // 4. The substrate's conflict policy.
+    // 3. The substrate's conflict policy.
     for (policy, label) in [
         (ConflictPolicy::RequesterWins, "requester-wins"),
         (ConflictPolicy::ResponderWins, "responder-wins"),
@@ -236,22 +226,6 @@ fn ablation_points(threads: usize) -> Vec<FigurePoint> {
         let mut p = arm("conflict-policy-long-u10", long, label, d());
         p.htm.conflict_policy = policy;
         pts.push(p);
-    }
-    // 5. Duration sampling: thread 0 only vs all threads.
-    for (all, label) in [(false, "sample-t0"), (true, "sample-all")] {
-        let cfg = SprwlConfig {
-            sample_all_threads: all,
-            ..d()
-        };
-        pts.push(arm("sampling-long-u10", long, label, cfg));
-    }
-    // 6. Timed reader waits (§3.4).
-    for (on, label) in [(false, "poll-wait"), (true, "timed-wait")] {
-        let cfg = SprwlConfig {
-            timed_reader_wait: on,
-            ..d()
-        };
-        pts.push(arm("reader-wait-long-u10", long, label, cfg));
     }
     pts
 }
@@ -345,8 +319,10 @@ mod tests {
         assert_eq!(LockKind::BrLock.name(), "BRLock");
         assert_eq!(LockKind::Sprwl(SprwlConfig::default()).name(), "SpRWL");
         assert_eq!(LockKind::Sprwl(SprwlConfig::with_snzi()).name(), "SNZI");
-        assert_eq!(LockKind::Sprwl(SprwlConfig::adaptive()).name(), "Adaptive");
+        assert_eq!(LockKind::Sprwl(SprwlConfig::with_bravo()).name(), "BRAVO");
         assert_eq!(LockKind::Sprwl(SprwlConfig::no_sched()).name(), "NoSched");
+        assert_eq!(LockKind::Sprwl(SprwlConfig::rwait()).name(), "RWait");
+        assert_eq!(LockKind::Sprwl(SprwlConfig::rsync()).name(), "RSync");
     }
 
     #[test]
@@ -427,10 +403,10 @@ mod tests {
     #[test]
     fn fig6_sweeps_reader_size_at_the_largest_thread_count_with_bravo_added() {
         let pts = grid("fig6");
-        assert_eq!(pts.len(), 6 * 4);
+        assert_eq!(pts.len(), 6 * 3);
         assert_eq!(
             distinct(&pts, |p| p.label.clone()),
-            ["SpRWL", "SNZI", "Adaptive", "BRAVO"]
+            ["SpRWL", "SNZI", "BRAVO"]
         );
         assert_eq!(distinct(&pts, |p| p.htm.max_threads), [8]);
         assert_eq!(
@@ -471,22 +447,19 @@ mod tests {
     }
 
     #[test]
-    fn ablation_covers_the_six_knobs_at_the_largest_thread_count() {
+    fn ablation_covers_the_three_knobs_at_the_largest_thread_count() {
         let pts = grid("ablation");
         assert_eq!(
             distinct(&pts, |p| p.workload.clone()),
             [
-                "delta-long-u10",
                 "reader-htm-long-u10",
                 "reader-htm-short-u10",
                 "sgl-long-u10",
-                "conflict-policy-long-u10",
-                "sampling-long-u10",
-                "reader-wait-long-u10"
+                "conflict-policy-long-u10"
             ]
             .map(|w| format!("{w}@broadwell-sim"))
         );
-        assert_eq!(pts.len(), 3 + 6 + 2 + 2 + 2 + 2);
+        assert_eq!(pts.len(), 6 + 2 + 2);
         assert_eq!(distinct(&pts, |p| p.htm.max_threads), [8]);
         let responder = pts.iter().find(|p| p.label == "responder-wins").unwrap();
         assert_eq!(responder.htm.conflict_policy, ConflictPolicy::ResponderWins);

@@ -72,7 +72,6 @@ pub fn tracking_label(t: ReaderTracking) -> &'static str {
     match t {
         ReaderTracking::Flags => "SpRWL",
         ReaderTracking::Snzi => "SNZI",
-        ReaderTracking::Adaptive => "SpRWL-adaptive",
         ReaderTracking::Bravo => "BRAVO",
     }
 }

@@ -71,10 +71,6 @@ impl LockKind {
                 (s, sprwl::ReaderTracking::Flags) => s.label().to_string(),
                 (sprwl::Scheduling::Full, sprwl::ReaderTracking::Snzi) => "SNZI".to_string(),
                 (s, sprwl::ReaderTracking::Snzi) => format!("{}+SNZI", s.label()),
-                (sprwl::Scheduling::Full, sprwl::ReaderTracking::Adaptive) => {
-                    "Adaptive".to_string()
-                }
-                (s, sprwl::ReaderTracking::Adaptive) => format!("{}+Adaptive", s.label()),
                 (sprwl::Scheduling::Full, sprwl::ReaderTracking::Bravo) => "BRAVO".to_string(),
                 (s, sprwl::ReaderTracking::Bravo) => format!("{}+BRAVO", s.label()),
             },
@@ -301,7 +297,7 @@ fn run_wall(
         // The window ends when the stop flag is raised, not after every
         // worker has been joined and merged: workers do at most one
         // trailing op each after the flip, which is noise; joining and
-        // merging latency histograms is not.
+        // merging latency reservoirs is not.
         elapsed_s = (clock::wall_now() - t0) as f64 / 1e9;
         for h in handles {
             let (st, tr) = h.join().expect("worker panicked");

@@ -1,7 +1,8 @@
 //! `bench-sweep --figure`: a known figure writes its document; a figure
 //! next to a flag that reshapes or re-times the grid, or an unknown name,
 //! is a usage error (exit 2) that runs nothing. `--locks` names only the
-//! paper's schemes, and `--threads` stays within the simulator's limit.
+//! paper's schemes (under `--server`, only the three reader trackings), and
+//! `--threads` stays within the simulator's limit.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -80,6 +81,22 @@ fn locks_outside_the_paper_set_are_unknown() {
         assert!(stderr.contains("error: unknown lock"), "{lock}: {stderr}");
     }
     assert!(!out.exists(), "an unknown lock must write nothing");
+}
+
+#[test]
+fn server_rejects_unknown_tracking_names() {
+    let out = out_dir("tracking-refused");
+    let run = bench_sweep(&["--server", "--locks", "SpRWL-adaptive"], &out);
+    assert_eq!(run.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert!(
+        stderr.contains(
+            "error: unknown tracking \"SpRWL-adaptive\" under --server \
+             (expected SpRWL, SNZI or BRAVO)"
+        ),
+        "{stderr}"
+    );
+    assert!(!out.exists(), "an unknown tracking must write nothing");
 }
 
 #[test]

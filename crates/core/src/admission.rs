@@ -25,8 +25,8 @@
 
 use htm_sim::{Direct, SimMemory};
 
-use crate::adaptive::ReaderReg;
 use crate::lock::{SpRwl, NONE};
+use crate::reader_table::ReaderReg;
 
 impl SpRwl {
     /// One non-blocking reader-admission attempt (one iteration of the

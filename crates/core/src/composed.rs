@@ -167,7 +167,6 @@ impl SpRwlPair {
             }) {
                 Ok((r, dur, (read_fp, write_fp))) => {
                     self.outer.est.record(tid, sec, dur);
-                    self.adapt_both(t, dur);
                     t.trace.push(EventKind::TxCommit {
                         mode: CommitMode::Htm.label(),
                         read_fp,
@@ -258,7 +257,6 @@ impl SpRwlPair {
         let r = f(&mut acc).expect("fallback composed sections cannot abort");
         let dur = clock::now() - t0;
         self.outer.est.record(tid, sec, dur);
-        self.adapt_both(t, dur);
 
         // Teardown in reverse acquisition order; on each lock, withdraw
         // the advertisement *before* releasing (readers woken by the
@@ -298,13 +296,6 @@ impl SpRwlPair {
             latency_ns,
         });
         r
-    }
-
-    /// Feed the adaptive policies of both locks — the composed section
-    /// occupied both, whatever its inner role.
-    fn adapt_both(&self, t: &mut LockThread<'_>, dur: u64) {
-        self.outer.adapt_after_section(t, false, dur);
-        self.inner.adapt_after_section(t, false, dur);
     }
 }
 

@@ -59,10 +59,6 @@ pub enum ReaderTracking {
     /// Query a scalable non-zero indicator: one cache line in the read-set,
     /// at the cost of O(log threads) reader arrival/departure overhead.
     Snzi,
-    /// Self-tuning (the paper's §5 future work): start with flags, switch
-    /// to SNZI when readers dwarf writers, and back — with a sound
-    /// transition protocol (see [`crate::adaptive`]).
-    Adaptive,
     /// BRAVO-style biased admission (Dice & Kogan): while bias is armed,
     /// readers publish with a single CAS into a hashed visible-readers
     /// table and writers' commit-time read-set is two lines (bias word +
@@ -70,31 +66,6 @@ pub enum ReaderTracking {
     /// proportional to *active* readers, not registered threads. The SNZI
     /// is the backstop when bias is off (see [`crate::reader_table`]).
     Bravo,
-}
-
-/// The δ slack of the writer-synchronization scheme (§3.2.2): a delayed
-/// writer aims to finish δ cycles after the last active reader.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum DeltaPolicy {
-    /// δ = half the writer's expected duration — the paper's default,
-    /// found best in their preliminary experiments.
-    #[default]
-    HalfWriterDuration,
-    /// δ = 0: maximize reader/writer overlap, risking more reader aborts.
-    Zero,
-    /// A fixed δ in nanoseconds (for the δ-sweep ablation).
-    FixedNs(u64),
-}
-
-impl DeltaPolicy {
-    /// Resolves δ for a writer whose estimated duration is `writer_ns`.
-    pub fn resolve(self, writer_ns: u64) -> u64 {
-        match self {
-            DeltaPolicy::HalfWriterDuration => writer_ns / 2,
-            DeltaPolicy::Zero => 0,
-            DeltaPolicy::FixedNs(ns) => ns,
-        }
-    }
 }
 
 /// Distinct [`sprwl_locks::SectionId`]s a lock tracks: the duration
@@ -119,17 +90,9 @@ pub struct SprwlConfig {
     /// the simulator's (much higher) per-access instrumentation cost on
     /// every long read, so the predictive variant is the default here.
     pub adaptive_reader_htm: bool,
-    /// δ slack for writer synchronization.
-    pub delta: DeltaPolicy,
     /// §3.3: use a versioned SGL so readers cannot starve behind a stream
     /// of fallback writers (the extension the authors describe but omit).
     pub versioned_sgl: bool,
-    /// Sample critical-section durations on every thread instead of only
-    /// thread 0 (the paper samples a single thread to cut overhead).
-    pub sample_all_threads: bool,
-    /// §3.4: readers park with a timed wait (using the writer's advertised
-    /// end time) instead of polling the writer's state flag.
-    pub timed_reader_wait: bool,
     /// Capacity stretching for big-footprint writers (DESIGN §6i): the
     /// POWER8 capacity-stretching techniques — rollback-only transactions,
     /// suspend/resume, transaction splitting — applied to SpRWL's write
@@ -169,10 +132,7 @@ impl Default for SprwlConfig {
             reader_tracking: ReaderTracking::Flags,
             readers_try_htm: true,
             adaptive_reader_htm: true,
-            delta: DeltaPolicy::HalfWriterDuration,
             versioned_sgl: false,
-            sample_all_threads: false,
-            timed_reader_wait: false,
             stretch: false,
             debug_skip_commit_reader_check: false,
         }
@@ -230,15 +190,6 @@ impl SprwlConfig {
         }
     }
 
-    /// The full algorithm with self-tuning reader tracking (§5 future
-    /// work: automatically enable/disable SNZI).
-    pub fn adaptive() -> Self {
-        Self {
-            reader_tracking: ReaderTracking::Adaptive,
-            ..Self::default()
-        }
-    }
-
     /// The full algorithm with capacity stretching for writers on.
     pub fn stretching() -> Self {
         Self {
@@ -260,13 +211,6 @@ mod tests {
         assert!(Scheduling::RSync.readers_join());
         assert!(!Scheduling::RSync.writers_wait());
         assert!(Scheduling::Full.writers_wait());
-    }
-
-    #[test]
-    fn delta_resolution() {
-        assert_eq!(DeltaPolicy::HalfWriterDuration.resolve(1000), 500);
-        assert_eq!(DeltaPolicy::Zero.resolve(1000), 0);
-        assert_eq!(DeltaPolicy::FixedNs(42).resolve(1000), 42);
     }
 
     #[test]

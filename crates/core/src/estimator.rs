@@ -50,9 +50,8 @@ struct Ewma(AtomicU64);
 #[derive(Debug)]
 pub struct DurationEstimator {
     sections: Box<[Ewma]>,
-    sample_all_threads: bool,
     /// The promoted single-sampler tid ([`NO_SAMPLER`] until the first
-    /// record). Unused when `sample_all_threads`.
+    /// record).
     sampler: AtomicU64,
 }
 
@@ -63,13 +62,12 @@ impl DurationEstimator {
     /// # Panics
     ///
     /// Panics if `max_sections` is zero.
-    pub fn new(max_sections: usize, sample_all_threads: bool) -> Self {
+    pub fn new(max_sections: usize) -> Self {
         assert!(max_sections > 0, "need at least one section slot");
         let mut v = Vec::with_capacity(max_sections);
         v.resize_with(max_sections, || Ewma(AtomicU64::new(0)));
         Self {
             sections: v.into_boxed_slice(),
-            sample_all_threads,
             sampler: AtomicU64::new(NO_SAMPLER),
         }
     }
@@ -80,9 +78,6 @@ impl DurationEstimator {
     /// execute a section, rather than a hard-wired tid 0 that may be a
     /// coordinator which never enters one.
     pub fn samples(&self, tid: usize) -> bool {
-        if self.sample_all_threads {
-            return true;
-        }
         match self.sampler.load(Ordering::Relaxed) {
             NO_SAMPLER => true,
             s => s == tid as u64,
@@ -104,23 +99,21 @@ impl DurationEstimator {
     ///
     /// Panics if `sec` is out of the configured range.
     pub fn record(&self, tid: usize, sec: SectionId, duration_ns: u64) {
-        if !self.sample_all_threads {
-            let me = tid as u64;
-            let claimed = match self.sampler.load(Ordering::Relaxed) {
-                NO_SAMPLER => match self.sampler.compare_exchange(
-                    NO_SAMPLER,
-                    me,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => me,
-                    Err(winner) => winner,
-                },
-                s => s,
-            };
-            if claimed != me {
-                return;
-            }
+        let me = tid as u64;
+        let claimed = match self.sampler.load(Ordering::Relaxed) {
+            NO_SAMPLER => match self.sampler.compare_exchange(
+                NO_SAMPLER,
+                me,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => me,
+                Err(winner) => winner,
+            },
+            s => s,
+        };
+        if claimed != me {
+            return;
         }
         let slot = &self.sections[sec.index()].0;
         // Racy read-modify-write is fine: samples are statistical and the
@@ -169,7 +162,7 @@ mod tests {
 
     #[test]
     fn first_sample_seeds_the_average() {
-        let e = DurationEstimator::new(4, false);
+        let e = DurationEstimator::new(4);
         assert_eq!(e.duration(SectionId(0)), 0);
         e.record(0, SectionId(0), 1000);
         assert_eq!(e.duration(SectionId(0)), 1000);
@@ -177,7 +170,7 @@ mod tests {
 
     #[test]
     fn ewma_converges_towards_new_regime() {
-        let e = DurationEstimator::new(4, false);
+        let e = DurationEstimator::new(4);
         e.record(0, SectionId(1), 1000);
         for _ in 0..32 {
             e.record(0, SectionId(1), 3000);
@@ -188,7 +181,7 @@ mod tests {
 
     #[test]
     fn ewma_damps_outliers() {
-        let e = DurationEstimator::new(4, false);
+        let e = DurationEstimator::new(4);
         for _ in 0..8 {
             e.record(0, SectionId(0), 1000);
         }
@@ -200,7 +193,7 @@ mod tests {
 
     #[test]
     fn first_recorder_claims_the_single_sampler_role() {
-        let e = DurationEstimator::new(4, false);
+        let e = DurationEstimator::new(4);
         assert_eq!(e.sampler(), None);
         assert!(e.samples(0) && e.samples(3), "role unclaimed: anyone may");
         e.record(0, SectionId(0), 1_000);
@@ -216,7 +209,7 @@ mod tests {
         // tid 0 is a coordinator that never enters a section: the first
         // thread that *does* record becomes the sampler instead of the
         // estimator staying blind forever.
-        let e = DurationEstimator::new(4, false);
+        let e = DurationEstimator::new(4);
         e.record(2, SectionId(0), 7_000);
         assert_eq!(e.sampler(), Some(2));
         assert_eq!(e.duration(SectionId(0)), 7_000);
@@ -231,17 +224,8 @@ mod tests {
     }
 
     #[test]
-    fn sample_all_threads_mode() {
-        let e = DurationEstimator::new(4, true);
-        e.record(3, SectionId(0), 5_000);
-        assert_eq!(e.duration(SectionId(0)), 5_000);
-        assert_eq!(e.sampler(), None, "no single-sampler role in this mode");
-        assert!(e.samples(0) && e.samples(7));
-    }
-
-    #[test]
     fn sections_are_independent() {
-        let e = DurationEstimator::new(4, false);
+        let e = DurationEstimator::new(4);
         e.record(0, SectionId(0), 100);
         e.record(0, SectionId(1), 9_000);
         assert_eq!(e.duration(SectionId(0)), 100);
@@ -250,7 +234,7 @@ mod tests {
 
     #[test]
     fn unsampled_sections_estimate_the_default() {
-        let e = DurationEstimator::new(4, false);
+        let e = DurationEstimator::new(4);
         assert_eq!(e.duration(SectionId(0)), 0, "raw view: no prediction");
         assert_eq!(e.estimate(SectionId(0)), DEFAULT_SECTION_ESTIMATE_NS);
         let before = clock::now();
@@ -265,7 +249,7 @@ mod tests {
 
     #[test]
     fn end_time_is_in_the_future_by_the_estimate() {
-        let e = DurationEstimator::new(4, false);
+        let e = DurationEstimator::new(4);
         e.record(0, SectionId(0), 1_000_000);
         let before = clock::now();
         let end = e.end_time(SectionId(0));
@@ -275,7 +259,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn out_of_range_section_panics() {
-        let e = DurationEstimator::new(2, false);
+        let e = DurationEstimator::new(2);
         e.record(0, SectionId(2), 1);
     }
 }

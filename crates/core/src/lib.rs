@@ -22,8 +22,7 @@
 //!   predicted end, maximizing overlap while still committing cleanly.
 //! * **Optimizations (§3.4)** — readers optimistically try HTM first;
 //!   SNZI-based reader tracking (one line in the writer's read-set instead
-//!   of one per thread); timed reader waits; a packed 64-bit metadata word
-//!   ([`packed::PackedMeta`]); and the §3.3 versioned-SGL anti-starvation
+//!   of one per thread); and the §3.3 versioned-SGL anti-starvation
 //!   extension the authors describe but omit.
 //!
 //! The lock implements [`sprwl_locks::RwSync`], the same interface as every
@@ -53,19 +52,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
-pub mod adaptive;
 mod admission;
 mod composed;
 pub mod config;
 pub mod estimator;
 mod lock;
-pub mod packed;
 mod reader;
 pub mod reader_table;
 mod stretch;
 mod writer;
 
 pub use composed::{InnerMode, SpRwlPair};
-pub use config::{DeltaPolicy, ReaderTracking, Scheduling, SprwlConfig};
+pub use config::{ReaderTracking, Scheduling, SprwlConfig};
 pub use estimator::DurationEstimator;
 pub use lock::SpRwl;

@@ -7,10 +7,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use htm_sim::{CellId, Direct, Htm, SimMemory, Tx, TxResult};
 use sprwl_locks::{GlobalLock, LockThread, RwSync, SectionBody, SectionId, VersionedLock};
 
-use crate::adaptive::ReaderReg;
-use crate::config::{ReaderTracking, SprwlConfig, MAX_SECTIONS};
+use crate::config::{SprwlConfig, MAX_SECTIONS};
 use crate::estimator::DurationEstimator;
-use crate::reader_table::ReaderTable;
+use crate::reader_table::{ReaderReg, ReaderTable};
 
 /// `state[i]` values (Alg. 1 of the paper).
 pub(crate) const STATE_EMPTY: u64 = 0;
@@ -141,8 +140,8 @@ pub struct SpRwl {
     /// The cell is never subscribed — bumping it dooms no one.
     pub(crate) rot_epoch: CellId,
     /// Every reader-tracking structure writers consult — the per-thread
-    /// state flags, the SNZI, the adaptive mode word and the BRAVO bias
-    /// machinery — behind one abstraction (see [`crate::reader_table`]).
+    /// state flags, the SNZI and the BRAVO bias machinery — behind one
+    /// abstraction (see [`crate::reader_table`]).
     pub(crate) readers: ReaderTable,
     /// Writers' expected end times (`clock_w`).
     pub(crate) clock_w: Box<[Slot]>,
@@ -167,12 +166,6 @@ pub struct SpRwl {
     /// the countdown to its next direct-rung probe (low half) and the
     /// current backoff (high half; see [`crate::writer`]).
     pub(crate) stretch_probe: Box<[Slot]>,
-    /// Global EWMA of read critical-section durations (adaptive policy).
-    pub(crate) avg_read_ns: Slot,
-    /// Global EWMA of write critical-section durations (adaptive policy).
-    pub(crate) avg_write_ns: Slot,
-    /// Timestamp of the last mode switch (hysteresis).
-    pub(crate) last_switch_ns: Slot,
 }
 
 /// How many executions a capacity-doomed section skips its optimistic HTM
@@ -217,7 +210,7 @@ impl SpRwl {
             Fallback::Plain(GlobalLock::new(mem))
         };
         let readers = ReaderTable::new(mem, n, cfg.reader_tracking);
-        let est = DurationEstimator::new(MAX_SECTIONS, cfg.sample_all_threads);
+        let est = DurationEstimator::new(MAX_SECTIONS);
         let htm_skip = slots(MAX_SECTIONS, 0);
         Ok(Self {
             n,
@@ -233,9 +226,6 @@ impl SpRwl {
             htm_skip,
             stretch_level: slots(MAX_SECTIONS, 0),
             stretch_probe: slots(MAX_SECTIONS, 0),
-            avg_read_ns: Slot::new(0),
-            avg_write_ns: Slot::new(0),
-            last_switch_ns: Slot::new(0),
             cfg,
         })
     }
@@ -265,20 +255,6 @@ impl SpRwl {
     /// The duration estimator (exposed for tests and diagnostics).
     pub fn estimator(&self) -> &DurationEstimator {
         &self.est
-    }
-
-    /// The paper's variant label for this configuration (used by the
-    /// Fig. 5 ablation output): `NoSched`/`RWait`/`RSync`/`SpRWL`, with a
-    /// `+SNZI` suffix when SNZI tracking is on.
-    pub fn variant_label(&self) -> &'static str {
-        match (self.cfg.scheduling, self.cfg.reader_tracking) {
-            (s, ReaderTracking::Flags) => s.label(),
-            (crate::config::Scheduling::Full, ReaderTracking::Snzi) => "SNZI",
-            (_, ReaderTracking::Snzi) => "SNZI-variant",
-            (_, ReaderTracking::Adaptive) => "Adaptive",
-            (crate::config::Scheduling::Full, ReaderTracking::Bravo) => "BRAVO",
-            (_, ReaderTracking::Bravo) => "BRAVO-variant",
-        }
     }
 
     // ---- shared helpers ----
@@ -320,7 +296,7 @@ impl SpRwl {
     }
 
     /// Withdraws the reader announcement (balancing whatever `flag_reader`
-    /// registered, even across a mode switch or bias revocation).
+    /// registered, even across a bias revocation).
     pub(crate) fn unflag_reader(&self, d: &Direct<'_>, tid: usize, reg: ReaderReg) {
         self.readers.depart(d, tid, reg)
     }

@@ -68,7 +68,6 @@ impl SpRwl {
                 }) {
                     Ok((r, dur, (read_fp, write_fp))) => {
                         self.est.record(tid, sec, dur);
-                        self.adapt_after_section(t, true, dur);
                         let latency_ns = clock::now() - start;
                         t.stats
                             .record_commit(Role::Reader, CommitMode::Htm, latency_ns);
@@ -144,7 +143,6 @@ impl SpRwl {
             self.clock_r[tid].store(0);
         }
         self.est.record(tid, sec, dur);
-        self.adapt_after_section(t, true, dur);
         let latency_ns = clock::now() - start;
         t.stats
             .record_commit(Role::Reader, CommitMode::Unins, latency_ns);
@@ -220,11 +218,6 @@ impl SpRwl {
             writer: w as u32,
             deadline,
         });
-        if self.cfg.timed_reader_wait {
-            // §3.4: park until the writer's advertised end time instead of
-            // hammering its state line.
-            clock::spin_until(advertised_end.min(deadline));
-        }
         let mut spin = clock::SpinWait::new();
         while mem.peek(self.readers.state[w]) == STATE_WRITER && clock::now() < deadline {
             spin.snooze();

@@ -1,10 +1,10 @@
 //! The reader admission/tracking table — every structure writers consult
 //! to detect active readers, behind one abstraction.
 //!
-//! Historically the lock object owned three loose pieces (the per-thread
-//! `state` flag array, the optional SNZI, the adaptive mode word) and the
-//! read/write paths dispatched on [`ReaderTracking`] inline. This module
-//! gathers them into [`ReaderTable`] and adds the fourth tracking scheme,
+//! The per-thread `state` flag array, the optional SNZI and the BRAVO bias
+//! machinery live together in the crate-private `ReaderTable`, which the
+//! read and write paths call instead of dispatching on [`ReaderTracking`]
+//! inline. Besides the paper's flags and SNZI modes it implements
 //! **BRAVO-style biased admission** (Dice & Kogan, arXiv 1810.01553),
 //! composed with the SNZI as its revocation backstop:
 //!
@@ -39,14 +39,13 @@
 //! or sees the transition and withdraws to the SNZI).
 //!
 //! Per-thread state flags are still maintained in **every** mode: the
-//! scheduling scans (`readers_wait`, `writer_wait`) peek them outside
-//! transactions, and they keep the adaptive drain protocol sound.
+//! scheduling scans (`readers_wait`, `writer_wait`) and the ROT rung's
+//! suspended reader check peek them outside transactions.
 
 use htm_sim::{clock, CellId, Direct, SimMemory, Tx, TxResult};
 use snzi::Snzi;
 use sprwl_locks::ABORT_READER;
 
-use crate::adaptive::{ReaderReg, MODE_SNZI, MODE_TRANS_TO_SNZI};
 use crate::config::ReaderTracking;
 use crate::lock::{Slot, STATE_EMPTY, STATE_READER};
 
@@ -79,6 +78,52 @@ const BIAS_ARMED_WORTH_NS: u64 = 1_000_000;
 /// to the SNZI path — rare.
 const VISIBLE_SLOTS_PER_THREAD: usize = 4;
 
+/// What a reader registered with — returned by an arrival, consumed by the
+/// matching departure, so departures always balance arrivals even across a
+/// bias revocation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReaderReg {
+    in_snzi: bool,
+    /// Bravo fast path: the visible-table slot this reader published in.
+    vslot: Option<usize>,
+    /// Bravo: whether this arrival re-armed the bias word (traced).
+    pub(crate) rearmed: bool,
+}
+
+impl ReaderReg {
+    fn flags() -> Self {
+        Self {
+            in_snzi: false,
+            vslot: None,
+            rearmed: false,
+        }
+    }
+
+    fn snzi() -> Self {
+        Self {
+            in_snzi: true,
+            vslot: None,
+            rearmed: false,
+        }
+    }
+
+    fn bravo_visible(vslot: usize, rearmed: bool) -> Self {
+        Self {
+            in_snzi: false,
+            vslot: Some(vslot),
+            rearmed,
+        }
+    }
+
+    fn bravo_snzi(rearmed: bool) -> Self {
+        Self {
+            in_snzi: true,
+            vslot: None,
+            rearmed,
+        }
+    }
+}
+
 /// Every reader-tracking structure writers consult, plus the per-thread
 /// state flags the scheduling scans peek.
 #[derive(Debug)]
@@ -89,12 +134,8 @@ pub(crate) struct ReaderTable {
     /// cache line so writers' commit-time scans conflict only with the
     /// owner's announcements.
     pub(crate) state: Vec<CellId>,
-    /// SNZI: sole tracking in `Snzi` mode, switch target in `Adaptive`,
-    /// revocation backstop in `Bravo`.
+    /// SNZI: sole tracking in `Snzi` mode, revocation backstop in `Bravo`.
     pub(crate) snzi: Option<Snzi>,
-    /// Adaptive tracking: the mode word, in simulated memory so writers
-    /// subscribe to it. `None` for non-adaptive tracking.
-    pub(crate) mode_cell: Option<CellId>,
     /// Bravo: the cell holding the three-state bias word — the SNZI
     /// root, whose client-tag bits carry the bias so writers subscribe to
     /// bias and backstop count in a single line.
@@ -118,13 +159,7 @@ impl ReaderTable {
     pub(crate) fn new(mem: &SimMemory, n: usize, tracking: ReaderTracking) -> Self {
         let snzi = match tracking {
             ReaderTracking::Flags => None,
-            ReaderTracking::Snzi | ReaderTracking::Adaptive | ReaderTracking::Bravo => {
-                Some(Snzi::new(mem, n))
-            }
-        };
-        let mode_cell = match tracking {
-            ReaderTracking::Adaptive => Some(mem.alloc_line_aligned(1).cell(0)),
-            _ => None,
+            ReaderTracking::Snzi | ReaderTracking::Bravo => Some(Snzi::new(mem, n)),
         };
         let (bias_cell, visible) = match tracking {
             ReaderTracking::Bravo => {
@@ -145,7 +180,6 @@ impl ReaderTable {
             tracking,
             state: mem.alloc_padded(n),
             snzi,
-            mode_cell,
             bias_cell,
             visible,
             rearm_at: Slot::new(0),
@@ -161,14 +195,6 @@ impl ReaderTable {
         ((tid as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & (self.visible.len() - 1)
     }
 
-    /// The adaptive mode word (callers guarantee adaptive tracking).
-    pub(crate) fn mode(&self, mem: &SimMemory) -> u64 {
-        match self.mode_cell {
-            Some(cell) => mem.peek(cell),
-            None => unreachable!("mode() is only called in adaptive tracking"),
-        }
-    }
-
     /// Untracked peek of the Bravo bias word (callers guarantee Bravo).
     pub(crate) fn bias_state(&self, mem: &SimMemory) -> u64 {
         snzi::root_tag(mem.peek(self.bias_cell.expect("bravo tracking")))
@@ -180,31 +206,15 @@ impl ReaderTable {
     /// reader check — the paper's strong-isolation argument.
     pub(crate) fn arrive(&self, d: &Direct<'_>, tid: usize) -> ReaderReg {
         // The state flag is always maintained: the scheduling scans (which
-        // run outside transactions) use it to find reader end times, and it
-        // keeps a flags scan correct in every tracking mode — the key to
-        // sound adaptive switching.
-        //
-        // Ordering matters in adaptive mode: the flag is stored *before*
-        // the mode is sampled. In the SeqCst total order, either this store
-        // precedes the transition controller's drain scan (which then waits
-        // for us), or our mode sample follows its mode CAS (and we register
-        // in the SNZI too). Sampling first would open a window where a
-        // reader is visible in neither structure the writers check.
+        // run outside transactions) use it to find reader end times, and
+        // the ROT rung's suspended reader check scans it in every tracking
+        // mode.
         d.store(self.state[tid], STATE_READER);
         match self.tracking {
             ReaderTracking::Flags => ReaderReg::flags(),
             ReaderTracking::Snzi => {
                 self.snzi.as_ref().expect("snzi tracking").arrive(d, tid);
                 ReaderReg::snzi()
-            }
-            ReaderTracking::Adaptive => {
-                let mode = self.mode(d.htm().memory());
-                if mode == MODE_SNZI || mode == MODE_TRANS_TO_SNZI {
-                    self.snzi.as_ref().expect("snzi tracking").arrive(d, tid);
-                    ReaderReg::snzi()
-                } else {
-                    ReaderReg::flags()
-                }
             }
             ReaderTracking::Bravo => self.arrive_bravo(d, tid),
         }
@@ -256,7 +266,7 @@ impl ReaderTable {
     }
 
     /// Withdraws the reader announcement (balancing whatever `arrive`
-    /// registered, even across a mode switch or bias revocation).
+    /// registered, even across a bias revocation).
     pub(crate) fn depart(&self, d: &Direct<'_>, tid: usize, reg: ReaderReg) {
         d.store(self.state[tid], STATE_EMPTY);
         if let Some(slot) = reg.vslot {
@@ -271,14 +281,20 @@ impl ReaderTable {
     /// transaction just before commit. Aborts with [`ABORT_READER`] if any
     /// concurrent reader is (or may be) active.
     pub(crate) fn check_at_commit(&self, tx: &mut Tx<'_>, me: usize) -> TxResult<()> {
-        let use_snzi = match self.tracking {
-            ReaderTracking::Flags => false,
-            ReaderTracking::Snzi => true,
-            ReaderTracking::Adaptive => {
-                // Subscribing the mode word means a concurrent switch dooms
-                // this transaction — it retries under the new mode.
-                let mode = tx.read(self.mode_cell.expect("adaptive"))?;
-                mode == MODE_SNZI
+        match self.tracking {
+            ReaderTracking::Flags => {
+                for i in 0..self.n {
+                    if i != me && tx.read(self.state[i])? == STATE_READER {
+                        return tx.abort(ABORT_READER);
+                    }
+                }
+                Ok(())
+            }
+            ReaderTracking::Snzi => {
+                if self.snzi.as_ref().expect("snzi tracking").query(tx)? {
+                    return tx.abort(ABORT_READER);
+                }
+                Ok(())
             }
             ReaderTracking::Bravo => {
                 // Commit requires bias verifiably OFF *in the read-set*:
@@ -296,23 +312,9 @@ impl ReaderTable {
                 if word != 0 {
                     return tx.abort(ABORT_READER);
                 }
-                return Ok(());
-            }
-        };
-        if use_snzi {
-            if self.snzi.as_ref().expect("snzi tracking").query(tx)? {
-                return tx.abort(ABORT_READER);
-            }
-            return Ok(());
-        }
-        // Flags scan: correct in every mode, since readers always maintain
-        // their state flags.
-        for i in 0..self.n {
-            if i != me && tx.read(self.state[i])? == STATE_READER {
-                return tx.abort(ABORT_READER);
+                Ok(())
             }
         }
-        Ok(())
     }
 
     /// Whether any reader other than `me` is currently active (untracked
@@ -332,10 +334,8 @@ impl ReaderTable {
                     .query_untracked(d)
                     || self.visible.iter().any(|&c| mem.peek(c) != 0)
             }
-            // Flags are maintained in every mode, so the scan is always
-            // correct (and runs outside transactions, so it costs no
-            // footprint).
-            ReaderTracking::Flags | ReaderTracking::Adaptive => (0..self.n)
+            // Runs outside transactions, so the scan costs no footprint.
+            ReaderTracking::Flags => (0..self.n)
                 .filter(|&i| i != me)
                 .any(|i| mem.peek(self.state[i]) == STATE_READER),
         }

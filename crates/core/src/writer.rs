@@ -143,7 +143,6 @@ impl SpRwl {
                 }) {
                     Ok((r, dur, (read_fp, write_fp))) => {
                         self.est.record(tid, sec, dur);
-                        self.adapt_after_section(t, false, dur);
                         t.trace.push(EventKind::TxCommit {
                             mode: CommitMode::Htm.label(),
                             read_fp,
@@ -276,7 +275,6 @@ impl SpRwl {
                 }) {
                     Ok((r, dur, write_fp)) => {
                         self.est.record(tid, sec, dur);
-                        self.adapt_after_section(t, false, dur);
                         t.trace.push(EventKind::TxCommit {
                             mode: CommitMode::Rot.label(),
                             read_fp: 0,
@@ -351,7 +349,6 @@ impl SpRwl {
         };
         let dur = clock::now() - t0;
         self.est.record(tid, sec, dur);
-        self.adapt_after_section(t, false, dur);
         // Teardown order matters: lower the WRITER flag and zero the
         // advertised end time *before* releasing the fallback lock. Readers
         // woken by the release immediately scan `state`/`clock_w` in
@@ -414,7 +411,9 @@ impl SpRwl {
             return;
         }
         let my_duration = self.est.estimate(sec);
-        let delta = self.cfg.delta.resolve(my_duration);
+        // δ = half the writer's expected duration: the paper's setting,
+        // found best in its preliminary experiments (§3.2.2).
+        let delta = my_duration / 2;
         // Start so that (start + my_duration) == last_reader_end + delta.
         let start_at = (last_reader_end + delta).saturating_sub(my_duration);
         trace.push(EventKind::SchedDeltaStart { start_at });

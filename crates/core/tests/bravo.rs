@@ -36,13 +36,10 @@ const BIAS_OFF: u64 = 0;
 const BIAS_ON: u64 = 1;
 
 #[test]
-fn bravo_label_and_initial_bias() {
+fn bravo_starts_with_bias_armed() {
     let h = htm(2);
     let lock = SpRwl::new(&h, SprwlConfig::with_bravo());
-    assert_eq!(lock.variant_label(), "BRAVO");
     assert_eq!(lock.debug_bias_state(h.memory()), BIAS_ON);
-    // The SNZI backstop is always consulted at commit time in Bravo mode.
-    assert!(lock.snzi_engaged(h.memory()));
 }
 
 #[test]

@@ -289,14 +289,6 @@ fn concurrent_bank_audit_versioned_sgl() {
     });
 }
 
-#[test]
-fn concurrent_bank_audit_timed_waits() {
-    bank_audit(SprwlConfig {
-        timed_reader_wait: true,
-        ..SprwlConfig::default()
-    });
-}
-
 /// The core safety property, hammered concurrently: uninstrumented readers
 /// must always observe money-conserving snapshots while writers transfer.
 fn bank_audit(cfg: SprwlConfig) {
@@ -362,26 +354,4 @@ fn bank_audit(cfg: SprwlConfig) {
     let d = h.direct(0);
     let total: u64 = accounts.iter().map(|&c| d.load(c)).sum();
     assert_eq!(total, TOTAL);
-}
-
-#[test]
-fn variant_labels_match_the_paper() {
-    let h = htm(CapacityProfile::BROADWELL_SIM, 2);
-    assert_eq!(
-        SpRwl::new(&h, SprwlConfig::no_sched()).variant_label(),
-        "NoSched"
-    );
-    assert_eq!(
-        SpRwl::new(&h, SprwlConfig::rwait()).variant_label(),
-        "RWait"
-    );
-    assert_eq!(
-        SpRwl::new(&h, SprwlConfig::rsync()).variant_label(),
-        "RSync"
-    );
-    assert_eq!(SpRwl::new(&h, SprwlConfig::full()).variant_label(), "SpRWL");
-    assert_eq!(
-        SpRwl::new(&h, SprwlConfig::with_snzi()).variant_label(),
-        "SNZI"
-    );
 }

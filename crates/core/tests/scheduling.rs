@@ -3,7 +3,7 @@
 //! the §3.4 predictive reader-HTM policy.
 
 use htm_sim::{clock, CapacityProfile, Htm, HtmConfig};
-use sprwl::{DeltaPolicy, SpRwl, SprwlConfig};
+use sprwl::{SpRwl, SprwlConfig};
 use sprwl_locks::{AbortCause, CommitMode, LockThread, Role, RwSync, SectionId};
 
 fn htm(threads: usize) -> Htm {
@@ -201,16 +201,6 @@ fn nosched_readers_never_wait_for_writers() {
         a.write(cell, 1)?;
         Ok(0)
     });
-}
-
-#[test]
-fn delta_policies_shape_writer_wait_metadata() {
-    // Indirect check of Alg. 3's arithmetic through the public surface:
-    // with δ = 0 the writer should start at (reader_end − duration);
-    // we verify the DeltaPolicy resolution feeding it.
-    assert_eq!(DeltaPolicy::Zero.resolve(10_000), 0);
-    assert_eq!(DeltaPolicy::HalfWriterDuration.resolve(10_000), 5_000);
-    assert_eq!(DeltaPolicy::FixedNs(123).resolve(10_000), 123);
 }
 
 #[test]

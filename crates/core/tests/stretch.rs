@@ -6,7 +6,7 @@
 //! events for each rung.
 
 use htm_sim::{CapacityProfile, Htm, HtmConfig, MemAccess, Region, TxResult};
-use sprwl::{DeltaPolicy, SpRwl, SprwlConfig};
+use sprwl::{SpRwl, SprwlConfig};
 use sprwl_locks::{AbortCause, CommitMode, LockThread, RwSync, SectionId};
 use sprwl_trace::{ThreadTrace, TraceConfig};
 
@@ -28,7 +28,6 @@ fn stretch_cfg() -> SprwlConfig {
     SprwlConfig {
         stretch: true,
         readers_try_htm: false,
-        delta: DeltaPolicy::Zero,
         ..SprwlConfig::default()
     }
 }
@@ -168,7 +167,6 @@ fn stretch_off_keeps_capacity_writers_on_plain_fallback() {
         &h,
         SprwlConfig {
             readers_try_htm: false,
-            delta: DeltaPolicy::Zero,
             ..SprwlConfig::default()
         },
     );

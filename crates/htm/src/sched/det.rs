@@ -114,9 +114,10 @@ impl DetState {
 /// [`DecisionRecord`], available through [`Scheduler::decision_trace`]
 /// for exact replay.
 ///
-/// Time is virtual: a counter that advances by [`NOW_TICK`] per clock read
-/// and [`YIELD_TICK`] per yield, and jumps forward when every thread is
-/// blocked on a timed wait. Wall time never enters the simulation.
+/// Time is virtual: a counter that advances by `NOW_TICK` (1) per clock
+/// read and `YIELD_TICK` (25) per yield, and jumps forward when every
+/// thread is blocked on a timed wait. Wall time never enters the
+/// simulation.
 ///
 /// # Contract
 ///

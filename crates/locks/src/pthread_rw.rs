@@ -2,9 +2,8 @@
 //! mutex, with condition variables for blocking — the `RWL` baseline of the
 //! paper's evaluation.
 //!
-//! Like the classic glibc implementation, the default policy prefers
-//! readers (a stream of readers can starve writers); a writer-preferring
-//! policy is available for experiments.
+//! Like the classic glibc implementation, the lock prefers readers (a
+//! stream of readers can starve writers).
 
 use parking_lot::{Condvar, Mutex};
 
@@ -12,16 +11,6 @@ use htm_sim::clock;
 
 use crate::api::{run_untracked, LockThread, RwSync, SectionBody, SectionId};
 use crate::stats::{CommitMode, Role};
-
-/// Which role may overtake the other while both wait.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Preference {
-    /// Readers enter whenever no writer is *active* (glibc default).
-    #[default]
-    Readers,
-    /// Readers defer to *waiting* writers too.
-    Writers,
-}
 
 #[derive(Debug, Default)]
 struct State {
@@ -36,7 +25,6 @@ pub struct PthreadRwLock {
     state: Mutex<State>,
     readers_cv: Condvar,
     writers_cv: Condvar,
-    pref: Preference,
 }
 
 impl PthreadRwLock {
@@ -45,23 +33,11 @@ impl PthreadRwLock {
         Self::default()
     }
 
-    /// Creates a lock with an explicit preference policy.
-    pub fn with_preference(pref: Preference) -> Self {
-        Self {
-            pref,
-            ..Self::default()
-        }
-    }
-
-    /// Acquires the lock in shared mode.
+    /// Acquires the lock in shared mode: readers enter whenever no writer
+    /// is *active*, even past waiting writers.
     pub fn read_lock(&self) {
         let mut st = self.state.lock();
-        loop {
-            let blocked =
-                st.writer_active || (self.pref == Preference::Writers && st.writers_waiting > 0);
-            if !blocked {
-                break;
-            }
+        while st.writer_active {
             self.readers_cv.wait(&mut st);
         }
         st.active_readers += 1;
@@ -207,14 +183,5 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(shared.load(std::sync::atomic::Ordering::Relaxed), 1000);
-    }
-
-    #[test]
-    fn writer_preference_policy_constructs() {
-        let l = PthreadRwLock::with_preference(Preference::Writers);
-        l.read_lock();
-        l.read_unlock();
-        l.write_lock();
-        l.write_unlock();
     }
 }

@@ -132,16 +132,12 @@ impl AbortCause {
     }
 }
 
-/// Number of logarithmic histogram buckets (bucket `i` holds samples in
-/// `[2^i, 2^(i+1))` ns; bucket 0 additionally holds 0-ns samples).
-const LAT_BUCKETS: usize = 48;
-
 /// Capacity of the per-recorder latency [`Reservoir`].
 const RESERVOIR_CAP: usize = 512;
 
 /// Fixed-capacity uniform sample of a latency stream (algorithm R), for
-/// percentile estimates sharper than the power-of-two histogram's ≤2×
-/// bound — the `BENCH_*.json` results pipeline reports these.
+/// percentile estimates — the `BENCH_*.json` results pipeline reports
+/// these.
 ///
 /// Replacement decisions come from a self-contained xorshift64 generator
 /// seeded with a fixed constant, so two runs that record the same sample
@@ -233,9 +229,9 @@ impl Reservoir {
     }
 }
 
-/// Streaming latency aggregate: count, sum, max, plus a power-of-two
-/// histogram for percentile estimates — all in nanoseconds.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Streaming latency aggregate: count, sum, max, plus a uniform reservoir
+/// sample for percentile estimates — all in nanoseconds.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct LatencyRecorder {
     /// Number of samples recorded.
     pub count: u64,
@@ -243,21 +239,8 @@ pub struct LatencyRecorder {
     pub sum_ns: u64,
     /// Largest sample, ns.
     pub max_ns: u64,
-    buckets: [u64; LAT_BUCKETS],
-    /// Uniform subsample of the stream for sharp percentile estimates.
+    /// Uniform subsample of the stream for percentile estimates.
     pub reservoir: Reservoir,
-}
-
-impl Default for LatencyRecorder {
-    fn default() -> Self {
-        Self {
-            count: 0,
-            sum_ns: 0,
-            max_ns: 0,
-            buckets: [0; LAT_BUCKETS],
-            reservoir: Reservoir::default(),
-        }
-    }
 }
 
 impl LatencyRecorder {
@@ -266,15 +249,12 @@ impl LatencyRecorder {
         self.count += 1;
         self.sum_ns += ns;
         self.max_ns = self.max_ns.max(ns);
-        let bucket = (64 - ns.leading_zeros() as usize).saturating_sub(1);
-        self.buckets[bucket.min(LAT_BUCKETS - 1)] += 1;
         self.reservoir.record(ns);
     }
 
     /// Reservoir-sampled `p`-th percentile: nearest-rank over the retained
     /// uniform subsample — exact while the stream fits the reservoir,
-    /// a sampling estimate beyond it (vs. [`Self::percentile_ns`]'s ≤2×
-    /// histogram bound).
+    /// a sampling estimate beyond it.
     ///
     /// # Panics
     ///
@@ -288,46 +268,11 @@ impl LatencyRecorder {
         self.sum_ns.checked_div(self.count).unwrap_or(0)
     }
 
-    /// Estimated `p`-th percentile (0 < p ≤ 100) in nanoseconds: the upper
-    /// bound of the histogram bucket containing that rank, capped by the
-    /// observed maximum. Power-of-two buckets give a ≤2× estimate — plenty
-    /// for the order-of-magnitude latency plots the paper draws.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `(0, 100]`.
-    pub fn percentile_ns(&self, p: f64) -> u64 {
-        assert!(p > 0.0 && p <= 100.0, "percentile must be in (0, 100]");
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = ((p / 100.0) * self.count as f64).ceil() as u64;
-        let mut seen = 0;
-        for (i, &b) in self.buckets.iter().enumerate() {
-            seen += b;
-            if seen >= rank {
-                // The final bucket is open-ended (it absorbs everything at
-                // or above 2^(LAT_BUCKETS-1) ns), so its only meaningful
-                // upper bound is the observed maximum.
-                let upper = if i + 1 >= LAT_BUCKETS {
-                    u64::MAX
-                } else {
-                    (1u64 << (i + 1)) - 1
-                };
-                return upper.min(self.max_ns);
-            }
-        }
-        self.max_ns
-    }
-
     /// Merges another recorder into this one.
     pub fn merge(&mut self, other: &LatencyRecorder) {
         self.count += other.count;
         self.sum_ns += other.sum_ns;
         self.max_ns = self.max_ns.max(other.max_ns);
-        for i in 0..LAT_BUCKETS {
-            self.buckets[i] += other.buckets[i];
-        }
         self.reservoir.merge(&other.reservoir);
     }
 }
@@ -571,38 +516,24 @@ mod tests {
         let l = LatencyRecorder::default();
         assert_eq!(l.mean_ns(), 0);
         assert_eq!(l.count, 0);
-        assert_eq!(l.percentile_ns(99.0), 0);
+        assert_eq!(l.sampled_percentile_ns(99.0), 0);
     }
 
     #[test]
     fn percentiles_track_the_distribution() {
         let mut l = LatencyRecorder::default();
-        // 99 fast samples around 1 µs, one slow 1 ms outlier.
+        // 99 fast samples of 1 µs, one slow 1 ms outlier.
         for _ in 0..99 {
             l.record(1_000);
         }
         l.record(1_000_000);
-        let p50 = l.percentile_ns(50.0);
-        let p99 = l.percentile_ns(99.0);
-        let p100 = l.percentile_ns(100.0);
-        assert!((1_000..=2_047).contains(&p50), "p50 = {p50}");
-        assert!(p99 <= 2_047, "p99 = {p99} should ignore the outlier");
-        assert_eq!(p100, 1_000_000, "p100 is the max");
-        assert!(p50 <= p99 && p99 <= p100, "monotone percentiles");
-    }
-
-    #[test]
-    fn percentile_merge_combines_histograms() {
-        let mut a = LatencyRecorder::default();
-        let mut b = LatencyRecorder::default();
-        for _ in 0..10 {
-            a.record(100);
-            b.record(100_000);
-        }
-        a.merge(&b);
-        assert_eq!(a.count, 20);
-        assert!(a.percentile_ns(25.0) < 1_000);
-        assert!(a.percentile_ns(90.0) > 50_000);
+        assert_eq!(l.sampled_percentile_ns(50.0), 1_000);
+        assert_eq!(
+            l.sampled_percentile_ns(99.0),
+            1_000,
+            "p99 should ignore the outlier"
+        );
+        assert_eq!(l.sampled_percentile_ns(100.0), 1_000_000, "p100 is the max");
     }
 
     #[test]
@@ -611,40 +542,14 @@ mod tests {
         l.record(0);
         l.record(u64::MAX / 2);
         assert_eq!(l.count, 2);
-        let _ = l.percentile_ns(50.0);
-        let _ = l.percentile_ns(100.0);
+        assert_eq!(l.sampled_percentile_ns(50.0), 0);
+        assert_eq!(l.sampled_percentile_ns(100.0), u64::MAX / 2);
     }
 
     #[test]
     #[should_panic(expected = "percentile")]
     fn out_of_range_percentile_panics() {
-        LatencyRecorder::default().percentile_ns(0.0);
-    }
-
-    #[test]
-    fn last_bucket_percentile_reports_the_true_maximum() {
-        // Regression: samples at or above 2^47 ns all land in the final
-        // histogram bucket, which is open-ended. The old guard (`i + 1 >=
-        // 63`) never fired with 48 buckets, so the bucket's upper bound was
-        // computed as 2^48 - 1 and percentiles silently under-reported any
-        // larger sample.
-        let mut l = LatencyRecorder::default();
-        l.record(1u64 << 50);
-        assert_eq!(l.percentile_ns(50.0), 1u64 << 50);
-        assert_eq!(l.percentile_ns(100.0), 1u64 << 50);
-
-        let mut huge = LatencyRecorder::default();
-        huge.record(u64::MAX - 1);
-        assert_eq!(huge.percentile_ns(99.0), u64::MAX - 1);
-
-        // Mixed: the big sample defines the tail, small ones the body.
-        let mut m = LatencyRecorder::default();
-        for _ in 0..9 {
-            m.record(1_000);
-        }
-        m.record(1u64 << 49);
-        assert!(m.percentile_ns(50.0) <= 2_047);
-        assert_eq!(m.percentile_ns(100.0), 1u64 << 49);
+        LatencyRecorder::default().sampled_percentile_ns(0.0);
     }
 
     #[test]

@@ -30,7 +30,7 @@ use std::pin::Pin;
 use std::task::{Context, Poll};
 
 use htm_sim::Direct;
-use sprwl::adaptive::ReaderReg;
+use sprwl::reader_table::ReaderReg;
 use sprwl::SpRwl;
 use sprwl_locks::{LockThread, SectionBody, SectionId};
 

@@ -1510,7 +1510,7 @@ pub fn run_case_artifacts(spec: &TortureSpec, base_seed: u64) -> CaseArtifacts {
 }
 
 /// The SpRWL variants the acceptance matrix must cover:
-/// {Flags, Snzi, Adaptive, Bravo} × {NoSched, Full}.
+/// {Flags, Snzi, Bravo} × {NoSched, Full}.
 pub fn sprwl_matrix_configs() -> Vec<(String, SprwlConfig)> {
     use sprwl::{ReaderTracking, Scheduling};
     let mut out = Vec::new();
@@ -1518,7 +1518,6 @@ pub fn sprwl_matrix_configs() -> Vec<(String, SprwlConfig)> {
         for (tname, tracking) in [
             ("flags", ReaderTracking::Flags),
             ("snzi", ReaderTracking::Snzi),
-            ("adaptive", ReaderTracking::Adaptive),
             ("bravo", ReaderTracking::Bravo),
         ] {
             let cfg = SprwlConfig {
@@ -1566,7 +1565,7 @@ pub fn default_matrix(threads: usize, ops_per_thread: usize) -> Vec<TortureSpec>
 
     let mut m = Vec::new();
 
-    // Acceptance grid: {Flags, Snzi, Adaptive} × {NoSched, Full}, with
+    // Acceptance grid: {Flags, Snzi, Bravo} × {NoSched, Full}, with
     // schedule shake on so seeds explore different interleaving families.
     for (name, cfg) in sprwl_matrix_configs() {
         m.push(base(&name, LockKind::Sprwl(cfg), shaken.clone()));
@@ -2067,8 +2066,6 @@ mod tests {
             "sprwl-flags-full",
             "sprwl-snzi-nosched",
             "sprwl-snzi-full",
-            "sprwl-adaptive-nosched",
-            "sprwl-adaptive-full",
             "sprwl-bravo-nosched",
             "sprwl-bravo-full",
         ] {

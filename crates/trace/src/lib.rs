@@ -2,7 +2,7 @@
 //!
 //! The paper's evaluation (Figs. 3–7) explains SpRWL's behaviour by
 //! *decomposing* it: commit-mode stacks, abort-cause breakdowns, per-role
-//! latency. Aggregated counters ([`sprwl_locks::SessionStats`]-style) can
+//! latency. Aggregated counters (`sprwl_locks::SessionStats`-style) can
 //! say *how often* a writer aborted; they cannot say *which cache line*
 //! conflicted, *which scheduler decision* fired, or *in what order*. This
 //! crate records the full critical-section lifecycle as a stream of
@@ -33,10 +33,11 @@
 //! See [`EventKind`]: transaction lifecycle (`SectionBegin`/`TxAttempt`/
 //! `TxCommit`/`TxAbort`/`SectionEnd`), the uninstrumented reader path
 //! (`ReaderArrive`/`ReaderDepart`), every scheduler decision SpRWL makes
-//! (join-the-waiter, timed reader waits, δ-timed writer starts, fallback
-//! acquisition, versioned-SGL bypass), and free-form [`EventKind::Mark`]s
-//! for harnesses. Conflict aborts carry the conflicting cache line and the
-//! peer thread id when the substrate attributed them.
+//! (join-the-waiter, deadline-bounded reader waits, δ-timed writer
+//! starts, fallback acquisition, versioned-SGL bypass), and free-form
+//! [`EventKind::Mark`]s for harnesses. Conflict aborts carry the
+//! conflicting cache line and the peer thread id when the substrate
+//! attributed them.
 //!
 //! ## Exporters
 //!

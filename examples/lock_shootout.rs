@@ -40,7 +40,6 @@ fn main() {
         LockKind::Sprwl(SprwlConfig::rsync()),
         LockKind::Sprwl(SprwlConfig::full()),
         LockKind::Sprwl(SprwlConfig::with_snzi()),
-        LockKind::Sprwl(SprwlConfig::adaptive()),
         LockKind::Tle,
         LockKind::RwLe,
         LockKind::Rwl,

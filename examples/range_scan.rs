@@ -118,7 +118,7 @@ fn main() {
     );
     println!(
         "  p99 scan latency: {:.1} µs (mean {:.1} µs)",
-        merged.reader_latency.percentile_ns(99.0) as f64 / 1_000.0,
+        merged.reader_latency.sampled_percentile_ns(99.0) as f64 / 1_000.0,
         merged.reader_latency.mean_ns() as f64 / 1_000.0,
     );
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Full CI gate: formatting, doc paths, lints, tier-1 build, the workspace
-# tests, torture smokes, and the bench pipeline (det baselines regenerated
-# point for point, every paper figure emitted once).
+# Full CI gate: formatting, doc paths, lints, rustdoc, tier-1 build, the
+# workspace tests, torture smokes, and the bench pipeline (det baselines
+# regenerated point for point, every paper figure emitted once).
 # Everything runs offline against the in-workspace dependency shims.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -39,6 +39,11 @@ EOF
 
 echo "==> cargo clippy (workspace, all targets, -D warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
+
+echo "==> cargo doc (workspace, no deps, warnings as errors)"
+# A doc link to a deleted or private item is a warning, so it fails here
+# instead of surfacing only when someone builds the docs.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
 echo "==> tier-1: cargo build --release"
 cargo build --release --offline

@@ -60,7 +60,7 @@ pub mod prelude {
         Region, SimMemory, TxKind, TxResult,
     };
     pub use snzi::Snzi;
-    pub use sprwl::{DeltaPolicy, ReaderTracking, Scheduling, SpRwl, SprwlConfig};
+    pub use sprwl::{ReaderTracking, Scheduling, SpRwl, SprwlConfig};
     pub use sprwl_locks::{
         AbortCause, BrLock, CommitMode, GlobalLock, LockThread, PthreadRwLock, RetryPolicy, Role,
         RwLe, RwSync, SectionId, SessionStats, Tle,

@@ -50,7 +50,6 @@ fn all_schemes() -> Vec<LockKind> {
         LockKind::Sprwl(SprwlConfig::rsync()),
         LockKind::Sprwl(SprwlConfig::full()),
         LockKind::Sprwl(SprwlConfig::with_snzi()),
-        LockKind::Sprwl(SprwlConfig::adaptive()),
         LockKind::Sprwl(SprwlConfig {
             versioned_sgl: true,
             ..SprwlConfig::default()

@@ -1,6 +1,6 @@
 //! Integration test mirroring the `range_scan` example: full-list range
 //! scans (far beyond HTM capacity) stay snapshot-atomic while writers
-//! churn, for SpRWL and for the SNZI/adaptive variants.
+//! churn, for SpRWL, its SNZI variant and the base algorithm.
 
 use sprwl_repro::prelude::*;
 use sprwl_repro::workloads::SortedList;
@@ -84,11 +84,6 @@ fn range_scans_are_atomic_under_default_sprwl() {
 #[test]
 fn range_scans_are_atomic_under_snzi_tracking() {
     run_with(SprwlConfig::with_snzi());
-}
-
-#[test]
-fn range_scans_are_atomic_under_adaptive_tracking() {
-    run_with(SprwlConfig::adaptive());
 }
 
 #[test]

@@ -2,8 +2,9 @@
 //! overhead per scheme, raw HTM transaction cost (one access and a
 //! TPC-C-sized footprint, alone and next to a second thread), a
 //! Stock-Level-sized untracked scan (alone and next to that second thread),
-//! the TPC-C Stock-Level and New-Order bodies on their own, SNZI
-//! operations, and the duration estimator.
+//! a chase of dependent untracked loads across a 64 MiB memory, the TPC-C
+//! Stock-Level and New-Order bodies on their own, SNZI operations, and the
+//! duration estimator.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -108,6 +109,42 @@ fn bench_footprint(c: &mut Criterion) {
             b.iter(|| untracked_scan(&d, scanned))
         });
         stop.store(true, Ordering::Relaxed);
+    });
+}
+
+/// Lines in a 64 MiB memory: 16,384 pages of 4 KiB, far more than a
+/// second-level TLB maps.
+const CHASE_LINES: usize = (64 << 20) / 64;
+
+/// Dependent untracked loads over a seeded random cycle through every line
+/// of a 64 MiB memory: each load's line comes from the one before, so no
+/// two loads overlap and nearly each one misses the caches and the TLB, as
+/// a step of the KV store's hash-chain walk does.
+fn bench_untracked_chase(c: &mut Criterion) {
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    let cells = CHASE_LINES * 8;
+    let h = Htm::new(
+        HtmConfig {
+            max_threads: 1,
+            ..HtmConfig::default()
+        },
+        cells,
+    );
+    let lines = h.memory().alloc(cells);
+    // Sattolo's shuffle: a uniformly random single cycle through the lines.
+    let mut next: Vec<usize> = (0..CHASE_LINES).collect();
+    let mut rng = StdRng::seed_from_u64(26);
+    for i in (1..CHASE_LINES).rev() {
+        next.swap(i, rng.gen_range(0..i));
+    }
+    for (line, &to) in next.iter().enumerate() {
+        h.memory().init_store(lines.cell(line * 8), to as u64);
+    }
+    let d = h.direct(0);
+    let mut line = 0;
+    c.bench_function("htm/untracked-chase-64mib", |b| {
+        b.iter(|| line = d.load(lines.cell(line * 8)) as usize)
     });
 }
 
@@ -265,6 +302,6 @@ fn bench_estimator(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_millis(400)).warm_up_time(std::time::Duration::from_millis(150));
-    targets = bench_raw_htm, bench_footprint, bench_tpcc, bench_sections, bench_snzi, bench_trace_overhead, bench_estimator
+    targets = bench_raw_htm, bench_footprint, bench_untracked_chase, bench_tpcc, bench_sections, bench_snzi, bench_trace_overhead, bench_estimator
 }
 criterion_main!(benches);

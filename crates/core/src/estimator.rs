@@ -72,18 +72,6 @@ impl DurationEstimator {
         }
     }
 
-    /// Whether `tid` is a sampling thread. Before any thread has recorded
-    /// a section this is true for everyone (the role is unclaimed); after
-    /// that, only for the promoted sampler — the first thread to actually
-    /// execute a section, rather than a hard-wired tid 0 that may be a
-    /// coordinator which never enters one.
-    pub fn samples(&self, tid: usize) -> bool {
-        match self.sampler.load(Ordering::Relaxed) {
-            NO_SAMPLER => true,
-            s => s == tid as u64,
-        }
-    }
-
     /// The promoted sampler, if the role has been claimed.
     pub fn sampler(&self) -> Option<usize> {
         match self.sampler.load(Ordering::Relaxed) {
@@ -194,14 +182,12 @@ mod tests {
     #[test]
     fn first_recorder_claims_the_single_sampler_role() {
         let e = DurationEstimator::new(4);
-        assert_eq!(e.sampler(), None);
-        assert!(e.samples(0) && e.samples(3), "role unclaimed: anyone may");
+        assert_eq!(e.sampler(), None, "role unclaimed: anyone may");
         e.record(0, SectionId(0), 1_000);
         assert_eq!(e.sampler(), Some(0), "tid 0 recorded first, as usual");
         e.record(3, SectionId(0), 5_000);
         assert_eq!(e.duration(SectionId(0)), 1_000, "non-sampler ignored");
-        assert!(e.samples(0));
-        assert!(!e.samples(3));
+        assert_eq!(e.sampler(), Some(0), "tid 3 did not take the role");
     }
 
     #[test]
@@ -219,8 +205,7 @@ mod tests {
             7_000,
             "the late coordinator does not unseat the promoted sampler"
         );
-        assert!(!e.samples(0));
-        assert!(e.samples(2));
+        assert_eq!(e.sampler(), Some(2));
     }
 
     #[test]

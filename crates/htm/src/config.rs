@@ -21,16 +21,18 @@ pub struct CapacityProfile {
     pub write_lines: usize,
     /// Maximum distinct lines a rollback-only transaction (ROT) may write.
     /// ROTs do not track reads at all, which is exactly why RW-LE uses them.
+    /// 0 on a platform without ROTs (see [`supports_rot`](Self::supports_rot)).
     pub rot_write_lines: usize,
 }
 
 impl CapacityProfile {
-    /// Intel Broadwell-like: large read capacity, much smaller write capacity.
+    /// Intel Broadwell-like: large read capacity, much smaller write
+    /// capacity, and no ROTs.
     pub const BROADWELL_SIM: CapacityProfile = CapacityProfile {
         name: "broadwell-sim",
         read_lines: 512,
         write_lines: 64,
-        rot_write_lines: 64,
+        rot_write_lines: 0,
     };
 
     /// IBM POWER8-like: small, symmetric 8 KB-equivalent capacity.
@@ -58,12 +60,13 @@ impl CapacityProfile {
     };
 
     /// Whether this profile supports rollback-only transactions and
-    /// suspend/resume (the POWER8-only features RW-LE needs).
+    /// suspend/resume (the POWER8-only features RW-LE needs): whether it
+    /// has a ROT write budget at all.
     ///
-    /// Only the POWER8-like profile reports `true`, mirroring the paper’s
-    /// point that RW-LE cannot run on Intel machines at all.
+    /// [`BROADWELL_SIM`](Self::BROADWELL_SIM) has none, mirroring the
+    /// paper’s point that RW-LE cannot run on Intel machines at all.
     pub fn supports_rot(&self) -> bool {
-        self.name == "power8-sim" || self.name == "unbounded" || self.name == "tiny"
+        self.rot_write_lines > 0
     }
 }
 
@@ -273,5 +276,24 @@ mod tests {
         assert_eq!(p.read_lines, p.write_lines, "POWER8 symmetric");
         assert!(!b.supports_rot(), "no ROTs on Intel");
         assert!(p.supports_rot(), "ROTs on POWER8");
+    }
+
+    #[test]
+    fn rot_support_is_the_rot_budget_not_the_name() {
+        let custom = CapacityProfile {
+            name: "custom",
+            read_lines: 32,
+            write_lines: 16,
+            rot_write_lines: 16,
+        };
+        assert!(custom.supports_rot(), "any name with a ROT budget");
+        let no_rots = CapacityProfile {
+            rot_write_lines: 0,
+            ..CapacityProfile::POWER8_SIM
+        };
+        assert!(
+            !no_rots.supports_rot(),
+            "a zero budget, even named power8-sim"
+        );
     }
 }

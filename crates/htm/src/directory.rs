@@ -311,7 +311,7 @@ impl Directory {
     /// A directory for a memory of `lines` cache lines.
     pub(crate) fn new(lines: usize) -> Self {
         Self {
-            words: (0..lines).map(|_| AtomicU32::new(0)).collect(),
+            words: crate::huge_pages::zeroed_slice(lines, || AtomicU32::new(0)),
             spill: Mutex::default(),
         }
     }

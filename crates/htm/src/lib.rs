@@ -62,13 +62,16 @@
 //! only observable by protocols that fail to prevent racing readers — which
 //! is precisely the bug class the SpRWL test-suite hunts for.
 
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`, so that `huge_pages` can allow its `madvise` call.
+#![deny(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 pub mod access;
 pub mod clock;
 pub mod config;
 mod directory;
+mod huge_pages;
 pub mod memory;
 pub mod registry;
 pub mod sched;

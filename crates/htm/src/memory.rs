@@ -120,10 +120,8 @@ impl SimMemory {
     /// Panics if `capacity_cells` exceeds `u32::MAX`.
     pub fn new(capacity_cells: usize) -> Self {
         assert!(capacity_cells <= u32::MAX as usize, "memory too large");
-        let mut v = Vec::with_capacity(capacity_cells);
-        v.resize_with(capacity_cells, || AtomicU64::new(0));
         Self {
-            cells: v.into_boxed_slice(),
+            cells: crate::huge_pages::zeroed_slice(capacity_cells, || AtomicU64::new(0)),
             next_free: AtomicU32::new(0),
         }
     }
@@ -328,6 +326,43 @@ mod tests {
         assert_eq!(m.raw_cas(c, 0, 5), Ok(0));
         assert_eq!(m.raw_cas(c, 0, 9), Err(5));
         assert_eq!(m.peek(c), 5);
+    }
+
+    /// A memory large enough to hold whole 2 MiB pages gets transparent
+    /// huge pages under the cell array, and still reads all zeros.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn large_memory_is_backed_by_huge_pages() {
+        let thp = "/sys/kernel/mm/transparent_hugepage/enabled";
+        match std::fs::read_to_string(thp) {
+            Err(e) => return eprintln!("skipped: cannot read {thp}: {e}"),
+            Ok(mode) if mode.contains("[never]") => {
+                return eprintln!("skipped: {thp} selects [never]")
+            }
+            Ok(_) => {}
+        }
+        let m = SimMemory::new(64 << 20 >> 3);
+        for i in (0..m.capacity()).step_by(m.capacity() / 64) {
+            assert_eq!(m.peek(CellId(i as u32)), 0, "cell {i}");
+        }
+        let middle = &m.cells[m.capacity() / 2] as *const AtomicU64 as usize;
+        let smaps = std::fs::read_to_string("/proc/self/smaps").unwrap();
+        let mut in_mapping = false;
+        let huge_kb = smaps.lines().find_map(|line| {
+            let range = line.split(' ').next().unwrap();
+            if let Some((lo, hi)) = range.split_once('-') {
+                if let (Ok(lo), Ok(hi)) =
+                    (usize::from_str_radix(lo, 16), usize::from_str_radix(hi, 16))
+                {
+                    in_mapping = (lo..hi).contains(&middle);
+                    return None;
+                }
+            }
+            let kb = line.strip_prefix("AnonHugePages:")?;
+            in_mapping.then(|| kb.trim().trim_end_matches(" kB").parse::<u64>().unwrap())
+        });
+        let huge_kb = huge_kb.expect("no smaps mapping holds the cell array");
+        assert!(huge_kb > 0, "the cell array's mapping has no huge pages");
     }
 
     #[test]

@@ -40,6 +40,28 @@ EOF
 echo "==> cargo clippy (workspace, all targets, -D warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "==> unsafe code stays at its one audited site"
+# htm-sim denies unsafe code and allows one `madvise` call in
+# `huge_pages.rs`, whose SAFETY comment clippy's
+# `undocumented_unsafe_blocks` requires above. Every other crate root keeps
+# forbidding it, and no other source file may use the keyword at all (the
+# `src/bin` crate roots carry no `forbid` of their own).
+for root in crates/*/src/lib.rs src/lib.rs wallbench/src/main.rs; do
+    if [ "$root" != crates/htm/src/lib.rs ] && ! grep -qx '#!\[forbid(unsafe_code)\]' "$root"; then
+        echo "$root: lost #![forbid(unsafe_code)]" >&2
+        exit 1
+    fi
+done
+UNSAFE_FILES=$(grep -rlw --include='*.rs' --exclude-dir=target unsafe \
+    crates src tests examples wallbench shims | grep -vx crates/htm/src/huge_pages.rs || true)
+if [ -n "$UNSAFE_FILES" ]; then
+    echo "unsafe outside crates/htm/src/huge_pages.rs:" >&2
+    # shellcheck disable=SC2086 # one path per word
+    grep -Hnw unsafe $UNSAFE_FILES >&2
+    exit 1
+fi
+echo "unsafe only in crates/htm/src/huge_pages.rs"
+
 echo "==> cargo doc (workspace, no deps, warnings as errors)"
 # A doc link to a deleted or private item is a warning, so it fails here
 # instead of surfacing only when someone builds the docs.

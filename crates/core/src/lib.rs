@@ -53,7 +53,6 @@
 #![warn(missing_docs, missing_debug_implementations)]
 
 mod admission;
-mod composed;
 pub mod config;
 pub mod estimator;
 mod lock;
@@ -62,7 +61,6 @@ pub mod reader_table;
 mod stretch;
 mod writer;
 
-pub use composed::{InnerMode, SpRwlPair};
 pub use config::{ReaderTracking, Scheduling, SprwlConfig};
 pub use estimator::DurationEstimator;
 pub use lock::SpRwl;

@@ -317,12 +317,6 @@ impl SpRwl {
         self.fallback.release(d)
     }
 
-    /// Test hook: the fallback lock's `(version, locked)` snapshot.
-    #[doc(hidden)]
-    pub fn debug_fallback_peek(&self, mem: &SimMemory) -> (u64, bool) {
-        self.fallback.peek(mem)
-    }
-
     /// Test hook: the BRAVO bias word (0 = off, 1 = on, 2 = revoking).
     /// Only meaningful under [`ReaderTracking::Bravo`].
     #[doc(hidden)]

@@ -18,12 +18,10 @@
 //! a set of **reads** `(register, observed value)` plus a set of
 //! **increments** `(register, observed old value)` — fetch-and-add by one.
 //! This uniformly covers the torture workloads: a read section is all
-//! reads, a mirror-pair write section is one increment (the section
-//! returns the pre-increment value), and a composed cross-lock section is
-//! increments on one lock's bank plus reads or increments on the other's
-//! (registers are namespaced per bank, so the two-lock product is the same
-//! model over the union of registers — linearizability of the combined
-//! history is exactly the composition guarantee under test).
+//! reads, a mirror-pair write section is one increment per pair it spans
+//! (the section returns the pre-increment values) plus reads of the pairs
+//! it scans; on the KV service a GET is one read and a SET or a per-shard
+//! MSET batch one increment per key.
 //!
 //! ## Timestamps and soundness
 //!

@@ -9,9 +9,10 @@
 use std::path::PathBuf;
 use std::process::Command;
 
+use sprwl_lincheck::mutate::Mutation;
+
 fn golden() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("../torture/tests/golden/det_cross_smoke.trace.jsonl")
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../torture/tests/golden/det_smoke.trace.jsonl")
 }
 
 fn run(args: &[&str]) -> i32 {
@@ -33,7 +34,14 @@ fn linearizable_history_exits_zero() {
 #[test]
 fn injected_mutation_exits_one() {
     let g = golden();
-    assert_eq!(run(&[g.to_str().unwrap(), "--mutate", "drop-commit"]), 1);
+    for m in Mutation::ALL {
+        assert_eq!(
+            run(&[g.to_str().unwrap(), "--mutate", m.name()]),
+            1,
+            "--mutate {} must be judged non-linearizable",
+            m.name()
+        );
+    }
 }
 
 #[test]

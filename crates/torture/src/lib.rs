@@ -78,7 +78,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use htm_sim::clock::SpinWait;
 use htm_sim::{Htm, HtmConfig, SchedulerKind, CELLS_PER_LINE};
-use sprwl::{InnerMode, SpRwlPair, SprwlConfig};
+use sprwl::SprwlConfig;
 use sprwl_lincheck::{check, labels, CheckConfig, History, Verdict};
 use sprwl_locks::{CommitMode, LockThread, Role, RwSync, SectionId, SessionStats};
 use sprwl_server::ServerConfig as KvServerConfig;
@@ -96,7 +96,6 @@ const POISON: u64 = u64::MAX;
 /// its per-section statistics on these).
 const SEC_READ: SectionId = SectionId(0);
 const SEC_WRITE: SectionId = SectionId(1);
-const SEC_CROSS: SectionId = SectionId(2);
 
 /// Default base seed when `TORTURE_SEED` is not set.
 pub const DEFAULT_SEED: u64 = 0x0070_D70C_AB1E_5EED;
@@ -220,28 +219,11 @@ pub fn first_divergence(a: &str, b: &str) -> Option<(usize, String, String)> {
 /// catalogue, so a case and a bench point name the same five schemes.
 pub use sprwl_bench::LockKind;
 
-/// Which inner role the composed sections of a cross-lock case take (the
-/// outer role is always writer).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CrossNesting {
-    /// Every composed section nests a reader in a writer.
-    ReadInWriter,
-    /// Every composed section nests a writer in a writer.
-    WriteInWriter,
-    /// Composed sections alternate between both nestings, seeded.
-    Mixed,
-}
-
 /// The operation shape a torture case drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Workload {
     /// The classic single-lock mirror-pair workload.
     Mirror,
-    /// Two SpRWL locks guarding disjoint mirror banks, with plain
-    /// single-lock sections on each plus *composed* sections that acquire
-    /// both in one critical section (see [`sprwl::SpRwlPair`]). Requires
-    /// [`LockKind::Sprwl`]; the same config instantiates both locks.
-    CrossBank(CrossNesting),
     /// The whole `sprwl-server` sharded async KV service end-to-end:
     /// hashed key routing over [`TortureSpec::pairs`] shards (one SpRWL
     /// each), future-based guard acquisition parked on wake-lists, and
@@ -268,7 +250,7 @@ pub struct TortureSpec {
     pub threads: usize,
     /// Operations (critical sections) issued per thread.
     pub ops_per_thread: usize,
-    /// Mirror pairs in the shared bank (per lock, for cross-bank cases).
+    /// Mirror pairs in the shared bank (shards, for server-kv cases).
     pub pairs: usize,
     /// Percentage (0–100) of operations that are writes.
     pub write_pct: u32,
@@ -294,7 +276,7 @@ pub struct TortureSpec {
     /// precisely what overflows the HTM budget while still fitting the
     /// ROT budget — the rung `det-capacity-rot` exists to exercise.
     pub writer_scan: usize,
-    /// The operation shape (single-lock mirror or two-lock cross-bank).
+    /// The operation shape (mirror pairs or the sharded KV service).
     pub workload: Workload,
     /// Record a `lin-*` operation history in each worker's trace and run
     /// the offline linearizability checker as a second verdict after the
@@ -497,14 +479,6 @@ fn worker_trace(spec: &TortureSpec) -> TraceConfig {
     trace_override().unwrap_or_else(|| TraceConfig::ring(worker_ring(spec)))
 }
 
-/// In the linearizability history, a mirror pair is **one register** of
-/// the sequential model: a committed write section is a fetch-and-add
-/// returning the pre-value, a read section observes one value per pair.
-/// Cross-bank cases namespace the inner lock's pairs after the outer's.
-fn reg_of(bank: usize, pair: usize, pairs: usize) -> u64 {
-    (bank * pairs + pair) as u64
-}
-
 /// Mid-case context churn: tears the worker's [`LockThread`] down
 /// (releasing its registry slot and deregistering from the scheduler) and
 /// rebuilds it on a freshly acquired — possibly different — slot,
@@ -625,17 +599,20 @@ fn worker(
                 break;
             }
             if lin {
+                // Mirror pair `i` is register `i` of the sequential model,
+                // and the section is one op: a read per scanned pair and a
+                // fetch-and-add per spanned pair, at the committed values.
                 for &(i, v) in &scan_obs {
                     t.trace.push(EventKind::Mark {
                         label: labels::READ,
-                        a: reg_of(0, i, spec.pairs),
+                        a: i as u64,
                         b: v,
                     });
                 }
                 for &(i, v) in &obs {
                     t.trace.push(EventKind::Mark {
                         label: labels::WRITE,
-                        a: reg_of(0, i, spec.pairs),
+                        a: i as u64,
                         b: v,
                     });
                 }
@@ -685,224 +662,7 @@ fn worker(
                 for &(i, v) in &obs {
                     t.trace.push(EventKind::Mark {
                         label: labels::READ,
-                        a: reg_of(0, i, spec.pairs),
-                        b: v,
-                    });
-                }
-                t.trace.push(EventKind::Mark {
-                    label: labels::RET,
-                    a: seq,
-                    b: 0,
-                });
-            }
-            reader_ops += 1;
-        }
-    }
-
-    ThreadOut {
-        incr,
-        reader_ops,
-        writer_ops,
-        torn,
-        trace: t.trace.snapshot(),
-        stats: t.stats,
-    }
-}
-
-/// The cross-bank worker: plain single-lock sections on each of the two
-/// locks plus composed two-lock sections, all recorded into one history
-/// over the union of both register banks.
-#[allow(clippy::too_many_arguments)]
-fn worker_cross(
-    pair: &SpRwlPair,
-    htm: &Htm,
-    spec: &TortureSpec,
-    nesting: CrossNesting,
-    banks: &[Vec<htm_sim::CellId>; 4],
-    case_seed: u64,
-    tid: usize,
-) -> ThreadOut {
-    let [a1, b1, a2, b2] = banks;
-    let mut t = LockThread::with_trace(htm.thread(tid), worker_trace(spec));
-    let mut rng = Prng::new(mix64(case_seed ^ ((tid as u64 + 1) << 32)));
-    // Outer-lock pairs occupy registers [0, pairs), inner [pairs, 2*pairs).
-    let mut incr = vec![0u64; 2 * spec.pairs];
-    let mut reader_ops = 0u64;
-    let mut writer_ops = 0u64;
-    let mut torn = None;
-    let lin = spec.lincheck;
-    let mut obs: Vec<(usize, u64)> = Vec::with_capacity(spec.pairs);
-
-    for seq in 0..spec.ops_per_thread as u64 {
-        let roll = rng.next() % 100;
-        if roll < 30 {
-            // Composed section: outer write + inner read or write.
-            let mode = match nesting {
-                CrossNesting::ReadInWriter => InnerMode::Read,
-                CrossNesting::WriteInWriter => InnerMode::Write,
-                CrossNesting::Mixed => {
-                    if rng.next().is_multiple_of(2) {
-                        InnerMode::Read
-                    } else {
-                        InnerMode::Write
-                    }
-                }
-            };
-            let p1 = (rng.next() as usize) % spec.pairs;
-            let p2 = (rng.next() as usize) % spec.pairs;
-            t.trace.push(EventKind::Mark {
-                label: "torture-cross",
-                a: p1 as u64,
-                b: p2 as u64,
-            });
-            if lin {
-                t.trace.push(EventKind::Mark {
-                    label: labels::INV,
-                    a: seq,
-                    b: 2 + u64::from(mode == InnerMode::Write),
-                });
-            }
-            let (pa1, pb1, pa2, pb2) = (a1[p1], b1[p1], a2[p2], b2[p2]);
-            let mut inner_obs = 0u64;
-            let r = pair.composed_section(&mut t, SEC_CROSS, mode, &mut |acc| {
-                let va1 = acc.read(pa1)?;
-                let vb1 = acc.read(pb1)?;
-                acc.write(pa1, va1 + 1)?;
-                acc.write(pb1, vb1 + 1)?;
-                let va2 = acc.read(pa2)?;
-                let vb2 = acc.read(pb2)?;
-                if mode == InnerMode::Write {
-                    acc.write(pa2, va2 + 1)?;
-                    acc.write(pb2, vb2 + 1)?;
-                }
-                inner_obs = va2;
-                Ok(if va1 == vb1 && va2 == vb2 {
-                    va1
-                } else {
-                    POISON
-                })
-            });
-            if r == POISON {
-                torn = Some(format!(
-                    "composed writer {tid} saw a torn pair (outer {p1} / inner {p2})"
-                ));
-                break;
-            }
-            if lin {
-                t.trace.push(EventKind::Mark {
-                    label: labels::WRITE,
-                    a: reg_of(0, p1, spec.pairs),
-                    b: r,
-                });
-                t.trace.push(EventKind::Mark {
-                    label: if mode == InnerMode::Write {
-                        labels::WRITE
-                    } else {
-                        labels::READ
-                    },
-                    a: reg_of(1, p2, spec.pairs),
-                    b: inner_obs,
-                });
-                t.trace.push(EventKind::Mark {
-                    label: labels::RET,
-                    a: seq,
-                    b: 0,
-                });
-            }
-            incr[p1] += 1;
-            if mode == InnerMode::Write {
-                incr[spec.pairs + p2] += 1;
-            }
-            writer_ops += 1;
-            continue;
-        }
-
-        // Plain single-lock section on one of the two locks.
-        let on_inner = rng.next() % 2 == 1;
-        let (lock, bank, ba, bb): (&dyn RwSync, usize, _, _) = if on_inner {
-            (&pair.inner, 1, a2, b2)
-        } else {
-            (&pair.outer, 0, a1, b1)
-        };
-        let is_write = rng.next() % 100 < u64::from(spec.write_pct);
-        let p = (rng.next() as usize) % spec.pairs;
-        t.trace.push(EventKind::Mark {
-            label: "torture-op",
-            a: reg_of(bank, p, spec.pairs),
-            b: u64::from(is_write),
-        });
-        if is_write {
-            let (pa, pb) = (ba[p], bb[p]);
-            if lin {
-                t.trace.push(EventKind::Mark {
-                    label: labels::INV,
-                    a: seq,
-                    b: 1,
-                });
-            }
-            let r = lock.write_section(&mut t, SEC_WRITE, &mut |acc| {
-                let a = acc.read(pa)?;
-                let b = acc.read(pb)?;
-                acc.write(pa, a + 1)?;
-                acc.write(pb, b + 1)?;
-                Ok(if a == b { a } else { POISON })
-            });
-            if r == POISON {
-                torn = Some(format!(
-                    "writer {tid} entered on torn pair {p} (bank {bank})"
-                ));
-                break;
-            }
-            if lin {
-                t.trace.push(EventKind::Mark {
-                    label: labels::WRITE,
-                    a: reg_of(bank, p, spec.pairs),
-                    b: r,
-                });
-                t.trace.push(EventKind::Mark {
-                    label: labels::RET,
-                    a: seq,
-                    b: 0,
-                });
-            }
-            incr[bank * spec.pairs + p] += 1;
-            writer_ops += 1;
-        } else {
-            let span = spec.reader_span.min(spec.pairs).max(1);
-            let start = (rng.next() as usize) % spec.pairs;
-            if lin {
-                t.trace.push(EventKind::Mark {
-                    label: labels::INV,
-                    a: seq,
-                    b: 0,
-                });
-            }
-            let r = lock.read_section(&mut t, SEC_READ, &mut |acc| {
-                obs.clear();
-                let mut sum = 0u64;
-                for k in 0..span {
-                    let i = (start + k) % spec.pairs;
-                    let a = acc.read(ba[i])?;
-                    let b = acc.read(bb[i])?;
-                    if a != b {
-                        return Ok(POISON);
-                    }
-                    obs.push((i, a));
-                    sum = sum.wrapping_add(a);
-                }
-                Ok(sum)
-            });
-            if r == POISON {
-                torn = Some(format!(
-                    "reader {tid} saw a torn pair near {start} (bank {bank})"
-                ));
-                break;
-            }
-            if lin {
-                for &(i, v) in &obs {
-                    t.trace.push(EventKind::Mark {
-                        label: labels::READ,
-                        a: reg_of(bank, i, spec.pairs),
+                        a: i as u64,
                         b: v,
                     });
                 }
@@ -998,7 +758,6 @@ fn execute_case(
     htm_cfg.validate().expect("torture case HtmConfig invalid");
     match spec.workload {
         Workload::Mirror => execute_mirror(spec, htm_cfg, case_seed, build),
-        Workload::CrossBank(nesting) => execute_cross(spec, htm_cfg, case_seed, nesting),
         Workload::ServerKv => execute_server(spec, htm_cfg, case_seed),
     }
 }
@@ -1035,67 +794,6 @@ fn execute_mirror(
         .map(|p| (mem.peek(bank_a[p]), mem.peek(bank_b[p])))
         .collect();
     let quiescence = lock
-        .check_quiescent(mem)
-        .map_err(|e| e.to_string())
-        .and_then(|()| check_slots_released(&htm));
-    let schedule = htm.scheduler().decision_trace().unwrap_or_default();
-    let sched_divergence = htm.scheduler().schedule_divergence();
-    CaseRun {
-        outs,
-        pairs_final,
-        quiescence,
-        schedule,
-        sched_divergence,
-    }
-}
-
-/// Cross-bank execution: two SpRWL locks over disjoint mirror banks. The
-/// oracle data generalizes cleanly — `pairs_final` and each thread's
-/// per-pair increment counts simply cover `2 * pairs` entries (outer bank
-/// first), and every end-state invariant applies unchanged.
-fn execute_cross(
-    spec: &TortureSpec,
-    htm_cfg: &HtmConfig,
-    case_seed: u64,
-    nesting: CrossNesting,
-) -> CaseRun {
-    let LockKind::Sprwl(lock_cfg) = &spec.lock else {
-        panic!(
-            "cross-bank torture case `{}` requires LockKind::Sprwl",
-            spec.name
-        );
-    };
-    let cells = (4 * spec.pairs + 16 * spec.threads + 256) * CELLS_PER_LINE as usize;
-    let htm = Htm::new(htm_cfg.clone(), cells);
-    let pair = SpRwlPair::new(&htm, lock_cfg.clone(), lock_cfg.clone());
-    let banks: [Vec<htm_sim::CellId>; 4] = [
-        htm.memory().alloc_padded(spec.pairs),
-        htm.memory().alloc_padded(spec.pairs),
-        htm.memory().alloc_padded(spec.pairs),
-        htm.memory().alloc_padded(spec.pairs),
-    ];
-
-    let outs: Vec<ThreadOut> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..spec.threads)
-            .map(|tid| {
-                let (pair, htm, banks) = (&pair, &htm, &banks);
-                s.spawn(move || worker_cross(pair, htm, spec, nesting, banks, case_seed, tid))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("torture worker panicked"))
-            .collect()
-    });
-
-    let mem = htm.memory();
-    let mut pairs_final = Vec::with_capacity(2 * spec.pairs);
-    for bank in [0, 2] {
-        for (&a, &b) in banks[bank].iter().zip(&banks[bank + 1]) {
-            pairs_final.push((mem.peek(a), mem.peek(b)));
-        }
-    }
-    let quiescence = pair
         .check_quiescent(mem)
         .map_err(|e| e.to_string())
         .and_then(|()| check_slots_released(&htm));
@@ -1567,8 +1265,13 @@ pub fn default_matrix(threads: usize, ops_per_thread: usize) -> Vec<TortureSpec>
 
     // Acceptance grid: {Flags, Snzi, Bravo} × {NoSched, Full}, with
     // schedule shake on so seeds explore different interleaving families.
+    // The paper-default cell also records its operation history, so the
+    // linearizability checker judges an OS-scheduled run, not only the
+    // serialized ones of the deterministic matrix.
     for (name, cfg) in sprwl_matrix_configs() {
-        m.push(base(&name, LockKind::Sprwl(cfg), shaken.clone()));
+        let mut spec = base(&name, LockKind::Sprwl(cfg), shaken.clone());
+        spec.lincheck = name == "sprwl-flags-full";
+        m.push(spec);
     }
 
     // §3.3 versioned SGL under writer-heavy load (fallback pressure).
@@ -1644,16 +1347,20 @@ pub fn default_matrix(threads: usize, ops_per_thread: usize) -> Vec<TortureSpec>
         },
     ));
 
-    // Fault axes on the paper-default SpRWL configuration.
+    // Fault axes on the paper-default SpRWL configuration. The interrupt
+    // cases check their recorded history too: injected aborts push writers
+    // onto the fallback path, where a stale read would surface.
     for (tag, interrupt_prob) in [("int1", 0.01), ("int5", 0.05)] {
-        m.push(base(
+        let mut spec = base(
             &format!("sprwl-full-{tag}"),
             LockKind::Sprwl(SprwlConfig::default()),
             HtmConfig {
                 interrupt_prob,
                 ..shaken.clone()
             },
-        ));
+        );
+        spec.lincheck = true;
+        m.push(spec);
     }
     m.push(base(
         "sprwl-full-tiny-capacity",
@@ -1706,42 +1413,13 @@ pub fn default_matrix(threads: usize, ops_per_thread: usize) -> Vec<TortureSpec>
         LockKind::RwLe,
         HtmConfig {
             capacity: CapacityProfile::TINY,
-            ..shaken.clone()
+            ..shaken
         },
     );
     rwle_rot.writer_scan = 4;
     m.push(rwle_rot);
     m.push(base("brlock", LockKind::BrLock, quiet.clone()));
     m.push(base("pthread-rw", LockKind::Rwl, quiet));
-
-    // Cross-lock composition: two SpRWLs, plain sections on each plus
-    // composed sections in both nestings, with the full history checked
-    // for linearizability over the two-lock product model.
-    for (name, nesting, htm) in [
-        ("cross-rw", CrossNesting::ReadInWriter, shaken.clone()),
-        ("cross-ww", CrossNesting::WriteInWriter, shaken.clone()),
-        (
-            "cross-rw-int5",
-            CrossNesting::ReadInWriter,
-            HtmConfig {
-                interrupt_prob: 0.05,
-                ..shaken.clone()
-            },
-        ),
-        (
-            "cross-ww-int5",
-            CrossNesting::WriteInWriter,
-            HtmConfig {
-                interrupt_prob: 0.05,
-                ..shaken
-            },
-        ),
-    ] {
-        let mut spec = base(name, LockKind::Sprwl(SprwlConfig::default()), htm);
-        spec.workload = Workload::CrossBank(nesting);
-        spec.lincheck = true;
-        m.push(spec);
-    }
 
     m
 }
@@ -1920,25 +1598,6 @@ pub fn det_matrix(threads: usize, ops_per_thread: usize) -> Vec<TortureSpec> {
     m.push(rwle_rot);
     m.push(base("det-brlock".into(), LockKind::BrLock, det.clone()));
 
-    // Cross-lock composition under the deterministic scheduler: the
-    // composed histories replay bit-for-bit, checker verdict included.
-    for (name, nesting, htm) in [
-        ("det-cross-rw", CrossNesting::ReadInWriter, det.clone()),
-        ("det-cross-ww", CrossNesting::WriteInWriter, det.clone()),
-        (
-            "det-cross-rw-int5",
-            CrossNesting::ReadInWriter,
-            HtmConfig {
-                interrupt_prob: 0.05,
-                ..det.clone()
-            },
-        ),
-    ] {
-        let mut spec = base(name.into(), LockKind::Sprwl(SprwlConfig::default()), htm);
-        spec.workload = Workload::CrossBank(nesting);
-        m.push(spec);
-    }
-
     // The sharded async KV service end-to-end (`sprwl-server`): hashed
     // routing over per-shard SpRWLs, future-based acquisition, redis
     // GET/SET/MSET traffic — judged by the shared oracle (per-shard
@@ -2071,6 +1730,19 @@ mod tests {
         ] {
             assert!(m.iter().any(|s| s.name == want), "matrix missing {want}");
         }
+    }
+
+    #[test]
+    fn free_running_matrix_checks_histories() {
+        let checked: Vec<String> = default_matrix(4, 10)
+            .into_iter()
+            .filter(|s| s.lincheck)
+            .map(|s| s.name)
+            .collect();
+        assert_eq!(
+            checked,
+            ["sprwl-flags-full", "sprwl-full-int1", "sprwl-full-int5"]
+        );
     }
 
     #[test]

@@ -14,18 +14,11 @@
 
 use htm_sim::{CapacityProfile, HtmConfig, SchedulerKind};
 use sprwl::SprwlConfig;
-use sprwl_torture::{
-    first_divergence, run_case_artifacts, CrossNesting, LockKind, TortureSpec, Workload,
-};
+use sprwl_torture::{first_divergence, run_case_artifacts, LockKind, TortureSpec, Workload};
 
 const GOLDEN_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/golden/det_smoke.trace.jsonl"
-);
-
-const CROSS_GOLDEN_PATH: &str = concat!(
-    env!("CARGO_MANIFEST_DIR"),
-    "/tests/golden/det_cross_smoke.trace.jsonl"
 );
 
 const STRETCH_GOLDEN_PATH: &str = concat!(
@@ -38,7 +31,10 @@ const GOLDEN_BASE_SEED: u64 = 0x601D_7245_CE5E;
 
 /// The pinned case behind the golden file. Small on purpose: big enough
 /// to exercise contention, aborts, and both roles; small enough that the
-/// committed trace stays reviewable.
+/// committed trace stays reviewable. The history recorder is on, so the
+/// golden bytes also pin the `lin-*` mark format the linearizability
+/// checker consumes. Each mark's clock read adds one virtual tick, which
+/// shifts later timestamps but, on this case, moves no other event.
 fn golden_spec() -> TortureSpec {
     TortureSpec {
         name: "det-golden-smoke".into(),
@@ -56,37 +52,7 @@ fn golden_spec() -> TortureSpec {
         reader_span: 2,
         writer_span: 1,
         writer_scan: 0,
-        // `lincheck: false` keeps the committed trace free of `lin-*`
-        // marks, so the golden bytes predate — and are unaffected by —
-        // the history recorder.
         workload: Workload::Mirror,
-        lincheck: false,
-        churn: false,
-    }
-}
-
-/// The cross-lock pinned case: two composed `SpRwl` locks over disjoint
-/// banks, mixed nestings, with the history recorder *on* — so the golden
-/// bytes also pin the `lin-*` mark format the linearizability checker
-/// consumes.
-fn cross_golden_spec() -> TortureSpec {
-    TortureSpec {
-        name: "det-golden-cross".into(),
-        lock: LockKind::Sprwl(SprwlConfig::default()),
-        htm: HtmConfig {
-            scheduler: SchedulerKind::Deterministic {
-                schedule_seed: 0x601D_C705,
-            },
-            ..HtmConfig::default()
-        },
-        threads: 2,
-        ops_per_thread: 10,
-        pairs: 3,
-        write_pct: 50,
-        reader_span: 2,
-        writer_span: 1,
-        writer_scan: 0,
-        workload: Workload::CrossBank(CrossNesting::Mixed),
         lincheck: true,
         churn: false,
     }
@@ -123,13 +89,13 @@ fn stretch_golden_spec() -> TortureSpec {
     }
 }
 
-fn assert_matches_golden(spec: &TortureSpec, path: &str, base_seed: u64, check_history: bool) {
+fn assert_matches_golden(spec: &TortureSpec, path: &str, base_seed: u64) {
     let art = run_case_artifacts(spec, base_seed);
     let summary = art
         .outcome
         .as_ref()
         .unwrap_or_else(|e| panic!("{}: the golden case must pass the oracle: {e}", spec.name));
-    if check_history {
+    if spec.lincheck {
         assert_eq!(
             summary.lincheck.label(),
             "ok",
@@ -164,17 +130,7 @@ fn assert_matches_golden(spec: &TortureSpec, path: &str, base_seed: u64, check_h
 
 #[test]
 fn deterministic_trace_matches_the_committed_golden_file() {
-    assert_matches_golden(&golden_spec(), GOLDEN_PATH, GOLDEN_BASE_SEED, false);
-}
-
-#[test]
-fn cross_lock_trace_matches_the_committed_golden_file() {
-    assert_matches_golden(
-        &cross_golden_spec(),
-        CROSS_GOLDEN_PATH,
-        GOLDEN_BASE_SEED,
-        true,
-    );
+    assert_matches_golden(&golden_spec(), GOLDEN_PATH, GOLDEN_BASE_SEED);
 }
 
 #[test]
@@ -183,7 +139,6 @@ fn stretch_trace_matches_the_committed_golden_file() {
         &stretch_golden_spec(),
         STRETCH_GOLDEN_PATH,
         GOLDEN_BASE_SEED,
-        false,
     );
     // Guard against the golden pinning a vacuous schedule: the committed
     // bytes must actually contain the stretching events they exist to pin.

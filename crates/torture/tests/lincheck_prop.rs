@@ -4,25 +4,25 @@
 //! recorded history — bit-exact replays yield bit-exact verdicts.
 //!
 //! Seeds are drawn by proptest (replay a failure with `PROPTEST_SEED`);
-//! each drawn `(base_seed, schedule_seed)` pair runs both the mirror
-//! workload and the cross-lock composition workload.
+//! each drawn `(base_seed, schedule_seed)` pair runs the mirror workload
+//! with single-pair and two-pair writers and the sharded KV service. A
+//! two-pair writer records one op that increments two registers, so the
+//! checker's multi-register increments are exercised on live histories.
 
 use htm_sim::{HtmConfig, SchedulerKind};
 use proptest::prelude::*;
 use sprwl::SprwlConfig;
 use sprwl_lincheck::{check, CheckConfig, History, Verdict};
-use sprwl_torture::{
-    run_case_artifacts, CrossNesting, LincheckStatus, LockKind, TortureSpec, Workload,
-};
+use sprwl_torture::{run_case_artifacts, LincheckStatus, LockKind, TortureSpec, Workload};
 
 /// A small deterministic case: contended enough that sections genuinely
 /// interleave (aborts, δ-waits, fallbacks), small enough that 8+ pairs of
-/// seeds stay fast.
-fn det_spec(schedule_seed: u64, workload: Workload) -> TortureSpec {
+/// seeds stay fast. `writer_span` is the mirror pairs each write section
+/// increments.
+fn det_spec(schedule_seed: u64, workload: Workload, writer_span: usize) -> TortureSpec {
     TortureSpec {
         name: match workload {
-            Workload::Mirror => "prop-det-mirror".into(),
-            Workload::CrossBank(_) => "prop-det-cross".into(),
+            Workload::Mirror => format!("prop-det-mirror-span{writer_span}"),
             Workload::ServerKv => "prop-det-server-kv".into(),
         },
         lock: LockKind::Sprwl(SprwlConfig::default()),
@@ -35,7 +35,7 @@ fn det_spec(schedule_seed: u64, workload: Workload) -> TortureSpec {
         pairs: 3,
         write_pct: 50,
         reader_span: 2,
-        writer_span: 1,
+        writer_span,
         writer_scan: 0,
         workload,
         lincheck: true,
@@ -47,19 +47,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Green det-matrix-shaped runs record linearizable histories, for
-    /// both the mirror and the cross-lock composition workloads, across
-    /// the drawn `(base seed, schedule seed)` pairs.
+    /// the mirror workload at writer spans 1 and 2 and for the KV service,
+    /// across the drawn `(base seed, schedule seed)` pairs.
     #[test]
     fn green_det_histories_check_linearizable(
         base_seed in 1u64..0xFFFF_FFFF,
         schedule_seed in 1u64..0xFFFF_FFFF,
     ) {
-        for workload in [
-            Workload::Mirror,
-            Workload::CrossBank(CrossNesting::Mixed),
-            Workload::ServerKv,
+        for (workload, writer_span) in [
+            (Workload::Mirror, 1),
+            (Workload::Mirror, 2),
+            (Workload::ServerKv, 1),
         ] {
-            let spec = det_spec(schedule_seed, workload);
+            let spec = det_spec(schedule_seed, workload, writer_span);
             let art = run_case_artifacts(&spec, base_seed);
             let summary = art.outcome.as_ref().unwrap_or_else(|e| {
                 panic!("{}: green run expected, oracle said: {e}", spec.name)
@@ -84,7 +84,7 @@ proptest! {
         base_seed in 1u64..0xFFFF_FFFF,
         schedule_seed in 1u64..0xFFFF_FFFF,
     ) {
-        let spec = det_spec(schedule_seed, Workload::CrossBank(CrossNesting::Mixed));
+        let spec = det_spec(schedule_seed, Workload::Mirror, 2);
         let a = run_case_artifacts(&spec, base_seed);
         let b = run_case_artifacts(&spec, base_seed);
         let ha = History::from_traces(&a.traces).expect("history a");

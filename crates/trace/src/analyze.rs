@@ -156,9 +156,9 @@ pub struct SamplingSummary {
     pub sampled_threads: u64,
     /// The largest per-thread stride seen.
     pub max_rate: u64,
-    /// Total outermost sections observed across sampled threads.
+    /// Total sections observed across sampled threads.
     pub sections_seen: u64,
-    /// Total outermost sections recorded across sampled threads.
+    /// Total sections recorded across sampled threads.
     pub sections_sampled: u64,
     /// Total events suppressed by sampling.
     pub unsampled: u64,

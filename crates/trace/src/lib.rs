@@ -368,15 +368,15 @@ pub struct TraceBuffer {
     total: u64,
     /// Section sampling stride (0 = not sampling, record everything).
     sample_rate: u32,
-    /// Nesting depth of open sections (composed locks nest sections).
-    section_depth: u32,
-    /// Whether the outermost open section was selected for recording.
+    /// Whether a section is open (between its begin and end events).
+    in_section: bool,
+    /// Whether the open section was selected for recording.
     section_sampled: bool,
     /// Events suppressed because their section was not sampled.
     unsampled: u64,
-    /// Outermost sections observed (sampled + skipped).
+    /// Sections observed (sampled + skipped).
     sections_seen: u64,
-    /// Outermost sections selected for recording.
+    /// Sections selected for recording.
     sections_sampled: u64,
 }
 
@@ -411,7 +411,7 @@ impl TraceBuffer {
             next: 0,
             total: 0,
             sample_rate: 0,
-            section_depth: 0,
+            in_section: false,
             section_sampled: false,
             unsampled: 0,
             sections_seen: 0,
@@ -445,38 +445,36 @@ impl TraceBuffer {
             return;
         }
         // Section-granular sampling: the keep/skip decision is made once at
-        // the *outermost* SectionBegin and applies to every event until the
-        // matching SectionEnd, so retry chains are never torn. Suppressed
+        // the SectionBegin and applies to every event until the matching
+        // SectionEnd, so retry chains are never torn. Suppressed
         // events return before the clock read below — on the deterministic
         // scheduler each `clock::now` advances virtual time, so an
         // unsampled section must not perturb the schedule.
         if self.sample_rate > 0 {
             match kind {
                 EventKind::SectionBegin { .. } => {
-                    if self.section_depth == 0 {
-                        self.section_sampled = self
-                            .sections_seen
-                            .is_multiple_of(u64::from(self.sample_rate));
-                        self.sections_seen += 1;
-                        if self.section_sampled {
-                            self.sections_sampled += 1;
-                        }
+                    self.section_sampled = self
+                        .sections_seen
+                        .is_multiple_of(u64::from(self.sample_rate));
+                    self.sections_seen += 1;
+                    if self.section_sampled {
+                        self.sections_sampled += 1;
                     }
-                    self.section_depth += 1;
+                    self.in_section = true;
                     if !self.section_sampled {
                         self.unsampled += 1;
                         return;
                     }
                 }
                 EventKind::SectionEnd { .. } => {
-                    self.section_depth = self.section_depth.saturating_sub(1);
+                    self.in_section = false;
                     if !self.section_sampled {
                         self.unsampled += 1;
                         return;
                     }
                 }
                 _ => {
-                    if self.section_depth > 0 && !self.section_sampled {
+                    if self.in_section && !self.section_sampled {
                         self.unsampled += 1;
                         return;
                     }
@@ -558,9 +556,9 @@ impl TraceBuffer {
 pub struct SampleMeta {
     /// The configured stride (every `rate`-th section recorded).
     pub rate: u32,
-    /// Outermost sections observed, sampled or not.
+    /// Sections observed, sampled or not.
     pub sections_seen: u64,
-    /// Outermost sections selected for recording.
+    /// Sections selected for recording.
     pub sections_sampled: u64,
     /// Events suppressed because their section was skipped.
     pub unsampled: u64,

@@ -133,15 +133,15 @@ PAIRS_OUT=$(python3 scripts/bench_pairs.py "$WALLBENCH_BIN" \
 printf '%s\n' "$PAIRS_OUT"
 printf '%s\n' "$PAIRS_OUT" | grep -qx "claimed gains: none"
 
-echo "==> lincheck smoke (checker accepts the committed cross-lock golden history)"
-CROSS_GOLDEN=crates/torture/tests/golden/det_cross_smoke.trace.jsonl
-cargo run -q --release --offline -p sprwl-lincheck -- "$CROSS_GOLDEN" > /dev/null
+echo "==> lincheck smoke (checker accepts the committed det_smoke golden history)"
+LIN_GOLDEN=crates/torture/tests/golden/det_smoke.trace.jsonl
+cargo run -q --release --offline -p sprwl-lincheck -- "$LIN_GOLDEN" > /dev/null
 # An injected bug must flip the verdict to exactly exit 1 (non-linearizable).
 # "Any non-zero" is not good enough: exit 2 means the checker gave up
 # (budget/incomplete history), and a gate that confuses the two passes
 # vacuously the day the budget is too small for the golden history.
 rc=0
-cargo run -q --release --offline -p sprwl-lincheck -- "$CROSS_GOLDEN" \
+cargo run -q --release --offline -p sprwl-lincheck -- "$LIN_GOLDEN" \
     --mutate drop-commit > /dev/null || rc=$?
 if [ "$rc" -ne 1 ]; then
     echo "lincheck mutate smoke: expected exit 1 (violation), got $rc" >&2
@@ -149,7 +149,7 @@ if [ "$rc" -ne 1 ]; then
 fi
 # And a starved budget must answer exit 2 (unknown), not a violation.
 rc=0
-cargo run -q --release --offline -p sprwl-lincheck -- "$CROSS_GOLDEN" \
+cargo run -q --release --offline -p sprwl-lincheck -- "$LIN_GOLDEN" \
     --max-nodes 1 > /dev/null || rc=$?
 if [ "$rc" -ne 2 ]; then
     echo "lincheck budget smoke: expected exit 2 (unknown), got $rc" >&2
@@ -169,9 +169,9 @@ cargo run -q --release --offline -p sprwl-torture -- explore \
     --replay-schedule "$SCHEDULE"
 
 echo "==> diff_traces smoke (identical -> 0, divergence -> 1)"
-python3 scripts/diff_traces.py "$CROSS_GOLDEN" "$CROSS_GOLDEN" > /dev/null
-head -n -1 "$CROSS_GOLDEN" > target/truncated-golden.jsonl
-if python3 scripts/diff_traces.py "$CROSS_GOLDEN" target/truncated-golden.jsonl > /dev/null; then
+python3 scripts/diff_traces.py "$LIN_GOLDEN" "$LIN_GOLDEN" > /dev/null
+head -n -1 "$LIN_GOLDEN" > target/truncated-golden.jsonl
+if python3 scripts/diff_traces.py "$LIN_GOLDEN" target/truncated-golden.jsonl > /dev/null; then
     echo "diff_traces.py failed to flag a truncated trace" >&2
     exit 1
 fi

@@ -42,8 +42,8 @@
 //! `--capacity` switches to the capacity grid: big-footprint writers
 //! (TPC-C under the delivery-pressure mix, sorted-list range scans) across
 //! every capacity profile (broadwell-sim, power8-sim, tiny — or just the
-//! one named by `--profile`), each measured with plain SpRWL and with the
-//! capacity-stretching ladder on. Capacity sweeps are deterministic-only;
+//! one named by `--profile`), each measured with the paper's default
+//! SpRWL. Capacity sweeps are deterministic-only;
 //! the last `--threads` entry is the worker count, and the emitted
 //! category defaults to `capacity`.
 //!

@@ -1,16 +1,12 @@
 //! Capacity-category sweep: big-footprint writers across capacity
-//! profiles, with stretching off vs on.
+//! profiles.
 //!
 //! Two workloads whose *writers* overflow HTM budgets — TPC-C under the
 //! delivery-pressure mix ([`Mix::DELIVERY_SWEEP`]) and the sorted-list
-//! range-scan ([`RangeScanSpec::capacity_sweep`]) — run over every
-//! capacity profile in {broadwell-sim, power8-sim, tiny}, once with plain
-//! SpRWL and once with the capacity-stretching ladder
-//! ([`sprwl::SprwlConfig::stretch`]) enabled. The point of the document is the
-//! before/after contrast per profile: stretching must push the writer
-//! capacity-abort count down (the sticky rung stops re-probing doomed HTM
-//! paths) without costing throughput, which is what `bench-compare` gates
-//! in CI.
+//! range-scan ([`RangeScanSpec::capacity_sweep`]) — run under the paper's
+//! default SpRWL over every capacity profile in {broadwell-sim,
+//! power8-sim, tiny}. The commit modes and abort causes per profile show
+//! how much of each workload the footprint pushes onto the global lock.
 //!
 //! Capacity sweeps are deterministic-only, like the server category: fixed
 //! work on the serialized scheduler, measured on the virtual clock, so the
@@ -91,7 +87,7 @@ impl CapacitySweepConfig {
 /// One warehouse **per thread**: the capacity sweep isolates the footprint
 /// axis, and a shared warehouse drowns it — at the default scale writers
 /// conflict-abort on the hot district rows long before their read/write
-/// sets reach the HTM budget, so both stretch arms degenerate to the same
+/// sets reach the HTM budget, so every point degenerates to the same
 /// conflict-driven fallback numbers. Home-warehouse partitioning (plus
 /// TPC-C's 15% remote payments for residual sharing) lets big deliveries
 /// actually hit the capacity wall the sweep measures.
@@ -106,20 +102,11 @@ pub fn capacity_tpcc_scale(threads: usize) -> TpccScale {
     }
 }
 
-/// The two stretch arms every capacity point is measured under.
-fn stretch_arms() -> [(&'static str, LockKind); 2] {
-    [
-        ("SpRWL", LockKind::Sprwl(SprwlConfig::default())),
-        ("SpRWL+stretch", LockKind::Sprwl(SprwlConfig::stretching())),
-    ]
-}
-
 /// One TPC-C delivery-pressure point: fixed ops under the det scheduler,
 /// audited by [`run_tpcc_point`].
 fn tpcc_delivery_point(
     cfg: &CapacitySweepConfig,
     profile: CapacityProfile,
-    label: &str,
     kind: &LockKind,
 ) -> BenchPoint {
     run_tpcc_point(
@@ -130,14 +117,13 @@ fn tpcc_delivery_point(
         cfg.seed,
         &cfg.mode(),
     )
-    .point(&format!("tpcc-delivery@{}", profile.name), label)
+    .point(&format!("tpcc-delivery@{}", profile.name), &kind.name())
 }
 
 /// One range-scan point: long range readers, back-half range writers.
 fn range_scan_point(
     cfg: &CapacitySweepConfig,
     profile: CapacityProfile,
-    label: &str,
     kind: &LockKind,
 ) -> BenchPoint {
     let spec = RangeScanSpec::capacity_sweep();
@@ -170,14 +156,14 @@ fn range_scan_point(
         .expect("untracked checksum cannot abort");
     assert_eq!(
         len, spec.population,
-        "range-scan@{} under {label}: list structure corrupt",
+        "range-scan@{}: list structure corrupt",
         profile.name
     );
-    m.point(&format!("range-scan@{}", profile.name), label)
+    m.point(&format!("range-scan@{}", profile.name), &kind.name())
 }
 
-/// Runs the full (workload × profile × stretch arm) grid and assembles the
-/// results document.
+/// Runs the full (profile × workload) grid and assembles the results
+/// document.
 ///
 /// # Panics
 ///
@@ -185,12 +171,11 @@ fn range_scan_point(
 /// list checksum) — a det point violating either is a harness bug and must
 /// not produce a silently-wrong document.
 pub fn run_capacity_sweep(cfg: &CapacitySweepConfig, date: &str, git_commit: &str) -> BenchResults {
+    let kind = LockKind::Sprwl(SprwlConfig::default());
     let mut points = Vec::new();
     for &profile in &cfg.profiles {
-        for (label, kind) in stretch_arms() {
-            points.push(tpcc_delivery_point(cfg, profile, label, &kind));
-            points.push(range_scan_point(cfg, profile, label, &kind));
-        }
+        points.push(tpcc_delivery_point(cfg, profile, &kind));
+        points.push(range_scan_point(cfg, profile, &kind));
     }
 
     let mut params = std::collections::BTreeMap::new();
@@ -215,14 +200,6 @@ pub fn run_capacity_sweep(cfg: &CapacitySweepConfig, date: &str, git_commit: &st
     }
 }
 
-/// Writer capacity-abort count of a point (plain + ROT) — the number the
-/// CI gate compares between the stretch arms.
-pub fn capacity_aborts(p: &BenchPoint) -> u64 {
-    // AbortCause::ALL order: conflict, capacity, explicit, reader,
-    // conflict-rot, capacity-rot, interrupt.
-    p.aborts[1] + p.aborts[5]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,39 +214,18 @@ mod tests {
     }
 
     #[test]
-    fn grid_covers_both_workloads_and_both_arms() {
+    fn grid_covers_both_workloads() {
         let r = run_capacity_sweep(&tiny(), "2026-08-09", "test");
-        assert_eq!(r.points.len(), 4);
+        assert_eq!(r.points.len(), 2);
         assert_eq!(r.category, "capacity");
         assert_eq!(r.capacity_profile, "capacity");
         for wl in ["tpcc-delivery@power8-sim", "range-scan@power8-sim"] {
-            for lock in ["SpRWL", "SpRWL+stretch"] {
-                let p = r
-                    .points
-                    .iter()
-                    .find(|p| p.workload == wl && p.lock == lock)
-                    .unwrap_or_else(|| panic!("missing point {wl}/{lock}"));
-                assert!(p.commits > 0);
-            }
-        }
-    }
-
-    #[test]
-    fn stretching_cuts_capacity_aborts_on_power8() {
-        let r = run_capacity_sweep(&tiny(), "2026-08-09", "test");
-        for wl in ["tpcc-delivery@power8-sim", "range-scan@power8-sim"] {
-            let get = |lock: &str| {
-                r.points
-                    .iter()
-                    .find(|p| p.workload == wl && p.lock == lock)
-                    .unwrap()
-            };
-            let off = capacity_aborts(get("SpRWL"));
-            let on = capacity_aborts(get("SpRWL+stretch"));
-            assert!(
-                on < off,
-                "{wl}: stretching must cut writer capacity aborts ({on} !< {off})"
-            );
+            let p = r
+                .points
+                .iter()
+                .find(|p| p.workload == wl && p.lock == "SpRWL")
+                .unwrap_or_else(|| panic!("missing point {wl}"));
+            assert!(p.commits > 0);
         }
     }
 

@@ -19,7 +19,7 @@
 use std::time::Duration;
 
 use htm_sim::{CapacityProfile, ConflictPolicy, HtmConfig};
-use sprwl::SprwlConfig;
+use sprwl::{ReaderHtm, SprwlConfig};
 use sprwl_trace::TraceConfig;
 use sprwl_workloads::tpcc::TpccScale;
 use sprwl_workloads::{HashmapSpec, Mix};
@@ -197,16 +197,12 @@ fn ablation_points(threads: usize) -> Vec<FigurePoint> {
         ("reader-htm-long-u10", long),
         ("reader-htm-short-u10", short),
     ] {
-        for (try_htm, adaptive, label) in [
-            (false, false, "direct"),
-            (true, true, "adaptive"),
-            (true, false, "always"),
+        for (reader_htm, label) in [
+            (ReaderHtm::Direct, "direct"),
+            (ReaderHtm::Predictive, "adaptive"),
+            (ReaderHtm::Always, "always"),
         ] {
-            let cfg = SprwlConfig {
-                readers_try_htm: try_htm,
-                adaptive_reader_htm: adaptive,
-                ..d()
-            };
+            let cfg = SprwlConfig { reader_htm, ..d() };
             pts.push(arm(workload, load, label, cfg));
         }
     }

@@ -68,6 +68,25 @@ pub enum ReaderTracking {
     Bravo,
 }
 
+/// Whether readers try HTM before the uninstrumented path (§3.4).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum ReaderHtm {
+    /// Never: every reader goes straight to the uninstrumented path.
+    Direct,
+    /// §3.4's predictive refinement ("one could use the online statistics
+    /// … to predict a priori whether certain readers are likely to incur
+    /// capacity exceptions and run them directly using the uninstrumented
+    /// execution path"): after a capacity abort, a section skips its
+    /// optimistic HTM attempts for a window of executions before probing
+    /// again. Without real hardware the probe-everything policy would pay
+    /// the simulator's (much higher) per-access instrumentation cost on
+    /// every long read, so the predictive variant is the default here.
+    #[default]
+    Predictive,
+    /// On every execution, whatever the section's capacity history.
+    Always,
+}
+
 /// Distinct [`sprwl_locks::SectionId`]s a lock tracks: the duration
 /// estimator and every per-section table are this long.
 pub const MAX_SECTIONS: usize = 64;
@@ -79,43 +98,12 @@ pub struct SprwlConfig {
     pub scheduling: Scheduling,
     /// Commit-time reader detection (ablation: Fig. 6).
     pub reader_tracking: ReaderTracking,
-    /// §3.4: readers optimistically try HTM before going uninstrumented.
-    pub readers_try_htm: bool,
-    /// §3.4's predictive refinement ("one could use the online statistics
-    /// … to predict a priori whether certain readers are likely to incur
-    /// capacity exceptions and run them directly using the uninstrumented
-    /// execution path"): after a capacity abort, a section skips its
-    /// optimistic HTM attempts for a window of executions before probing
-    /// again. Without real hardware the probe-everything policy would pay
-    /// the simulator's (much higher) per-access instrumentation cost on
-    /// every long read, so the predictive variant is the default here.
-    pub adaptive_reader_htm: bool,
+    /// §3.4: whether and when readers try HTM before going uninstrumented
+    /// (ablation: `BENCH_ablation`'s reader-HTM arms).
+    pub reader_htm: ReaderHtm,
     /// §3.3: use a versioned SGL so readers cannot starve behind a stream
     /// of fallback writers (the extension the authors describe but omit).
     pub versioned_sgl: bool,
-    /// Capacity stretching for big-footprint writers (DESIGN §6i): the
-    /// POWER8 capacity-stretching techniques — rollback-only transactions,
-    /// suspend/resume, transaction splitting — applied to SpRWL's write
-    /// path. With it off, a writer whose footprint overflows the capacity
-    /// profile falls straight to the global lock on every execution. With
-    /// it on, a section escalates on capacity aborts through a ladder:
-    ///
-    /// 1. **direct** — the plain HTM attempt (reads and writes tracked);
-    /// 2. **ROT** — a rollback-only transaction: reads untracked, writes
-    ///    buffered, the commit-time reader check run from *suspended*
-    ///    state, retried under RW-LE's ROT budget
-    ///    ([`sprwl_locks::RetryPolicy::RWLE_ROT`]);
-    /// 3. **split** — the body runs once under the fallback ticket, its
-    ///    writes flushed as ordered sub-transactions of the profile's HTM
-    ///    write budget.
-    ///
-    /// The rung a section starts at is sticky per section; a section
-    /// stuck on a stretched rung re-probes the direct rung with
-    /// exponential backoff. Profiles without suspend/resume
-    /// ([`htm_sim::CapacityProfile::supports_rot`]) skip the ROT rung. Off
-    /// by default: stretching changes commit modes and trace shapes,
-    /// which golden traces and static baselines don't expect.
-    pub stretch: bool,
     /// **Test-only fault injection**: skip the commit-time reader check
     /// (`check_for_readers`), deliberately re-introducing the torn-read
     /// window SpRWL's W-checkR step exists to close. Exists so the
@@ -130,10 +118,8 @@ impl Default for SprwlConfig {
         Self {
             scheduling: Scheduling::Full,
             reader_tracking: ReaderTracking::Flags,
-            readers_try_htm: true,
-            adaptive_reader_htm: true,
+            reader_htm: ReaderHtm::Predictive,
             versioned_sgl: false,
-            stretch: false,
             debug_skip_commit_reader_check: false,
         }
     }
@@ -145,7 +131,7 @@ impl SprwlConfig {
     pub fn no_sched() -> Self {
         Self {
             scheduling: Scheduling::NoSched,
-            readers_try_htm: false,
+            reader_htm: ReaderHtm::Direct,
             ..Self::default()
         }
     }
@@ -154,7 +140,7 @@ impl SprwlConfig {
     pub fn rwait() -> Self {
         Self {
             scheduling: Scheduling::RWait,
-            readers_try_htm: false,
+            reader_htm: ReaderHtm::Direct,
             ..Self::default()
         }
     }
@@ -163,7 +149,7 @@ impl SprwlConfig {
     pub fn rsync() -> Self {
         Self {
             scheduling: Scheduling::RSync,
-            readers_try_htm: false,
+            reader_htm: ReaderHtm::Direct,
             ..Self::default()
         }
     }
@@ -186,14 +172,6 @@ impl SprwlConfig {
     pub fn with_bravo() -> Self {
         Self {
             reader_tracking: ReaderTracking::Bravo,
-            ..Self::default()
-        }
-    }
-
-    /// The full algorithm with capacity stretching for writers on.
-    pub fn stretching() -> Self {
-        Self {
-            stretch: true,
             ..Self::default()
         }
     }

@@ -58,9 +58,8 @@ pub mod estimator;
 mod lock;
 mod reader;
 pub mod reader_table;
-mod stretch;
 mod writer;
 
-pub use config::{ReaderTracking, Scheduling, SprwlConfig};
+pub use config::{ReaderHtm, ReaderTracking, Scheduling, SprwlConfig};
 pub use estimator::DurationEstimator;
 pub use lock::SpRwl;

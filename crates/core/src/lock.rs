@@ -4,7 +4,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use htm_sim::{CellId, Direct, Htm, SimMemory, Tx, TxResult};
+use htm_sim::{Direct, Htm, SimMemory, Tx, TxResult};
 use sprwl_locks::{GlobalLock, LockThread, RwSync, SectionBody, SectionId, VersionedLock};
 
 use crate::config::{SprwlConfig, MAX_SECTIONS};
@@ -117,28 +117,6 @@ pub struct SpRwl {
     pub(crate) cfg: SprwlConfig,
     pub(crate) n: usize,
     pub(crate) fallback: Fallback,
-    /// Writer-writer gate for the ROT stretching rung. A rollback-only
-    /// transaction tracks no reads, so a concurrent writer committing into
-    /// its read set goes undetected — the one hazard the HTM cannot close
-    /// for us. The gate restores serializability *among speculative
-    /// writers*: a stretched ROT holds it for the rung's duration and
-    /// plain HTM writers subscribe it (the untracked acquire dooms them,
-    /// exactly like the SGL). Only ROTs ever write the gate, so the
-    /// subscription costs nothing while no ROT is in flight. Readers never
-    /// touch it — they stay uninstrumented, protected by the ROT's
-    /// buffered writes and the suspended commit-time flag check. Never
-    /// consulted while `cfg.stretch` is off.
-    pub(crate) rot_gate: GlobalLock,
-    /// Fallback-completion epoch, closing the ROT's remaining writer
-    /// hazard: a ticket holder that acquires, writes in place and releases
-    /// entirely inside the ROT's execution window is invisible both to the
-    /// gate (fallback writers don't take it) and to the ROT's commit-time
-    /// lock peek (the lock is free again by then). Every fallback section
-    /// bumps this word *before* releasing the ticket; the ROT snapshots it
-    /// before starting and re-checks it from suspended state, so any
-    /// in-place write that overlapped the window forces an explicit abort.
-    /// The cell is never subscribed — bumping it dooms no one.
-    pub(crate) rot_epoch: CellId,
     /// Every reader-tracking structure writers consult — the per-thread
     /// state flags, the SNZI and the BRAVO bias machinery — behind one
     /// abstraction (see [`crate::reader_table`]).
@@ -156,16 +134,6 @@ pub struct SpRwl {
     /// (§3.4): non-zero means "this section recently overflowed capacity;
     /// go straight to the uninstrumented path".
     pub(crate) htm_skip: Box<[Slot]>,
-    /// Per-section stretching rung a capacity-pressured section *starts*
-    /// at (0 = direct HTM, 1 = ROT, 2 = split). Escalated in place by the
-    /// write path when a rung overflows; reset to 0 when a probe of the
-    /// direct rung commits. All-zero (and never consulted) while
-    /// `cfg.stretch` is off.
-    pub(crate) stretch_level: Box<[Slot]>,
-    /// Per-section probe schedule of a section stuck on a stretched rung:
-    /// the countdown to its next direct-rung probe (low half) and the
-    /// current backoff (high half; see [`crate::writer`]).
-    pub(crate) stretch_probe: Box<[Slot]>,
 }
 
 /// How many executions a capacity-doomed section skips its optimistic HTM
@@ -215,8 +183,6 @@ impl SpRwl {
         Ok(Self {
             n,
             fallback,
-            rot_gate: GlobalLock::new(mem),
-            rot_epoch: mem.alloc_line_aligned(1).cell(0),
             readers,
             clock_w: slots(n, 0),
             clock_r: slots(n, 0),
@@ -224,8 +190,6 @@ impl SpRwl {
             waiting_version: slots(n, NONE),
             est,
             htm_skip,
-            stretch_level: slots(MAX_SECTIONS, 0),
-            stretch_probe: slots(MAX_SECTIONS, 0),
             cfg,
         })
     }
@@ -322,13 +286,6 @@ impl SpRwl {
     #[doc(hidden)]
     pub fn debug_bias_state(&self, mem: &SimMemory) -> u64 {
         self.readers.bias_state(mem)
-    }
-
-    /// Test hook: the per-section stretching rung (0 = direct, 1 = ROT,
-    /// 2 = split) the write path would start at.
-    #[doc(hidden)]
-    pub fn debug_stretch_level(&self, sec: SectionId) -> u64 {
-        self.stretch_level[sec.index()].load()
     }
 
     /// Test hook: the §3.3 registration slot for `tid` (`u64::MAX` = none).

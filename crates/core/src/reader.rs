@@ -7,6 +7,7 @@ use htm_sim::TxKind;
 use sprwl_locks::{AbortCause, CommitMode, LockThread, RetryPolicy, Role, SectionBody, SectionId};
 use sprwl_trace::{EventKind, TraceBuffer, TraceRole, NO_LINE, NO_PEER};
 
+use crate::config::ReaderHtm;
 use crate::lock::{SpRwl, NONE, STATE_WRITER};
 
 /// Records a speculative abort in both the stats and the trace, pulling
@@ -50,7 +51,7 @@ impl SpRwl {
         // switch to the uninstrumented path immediately. Under the
         // predictive refinement, a section whose last probe overflowed
         // capacity skips hardware for a window of executions.
-        if self.cfg.readers_try_htm && self.reader_htm_worth_probing(sec) {
+        if self.reader_htm_worth_probing(sec) {
             let mut attempts = 0u32;
             loop {
                 self.fallback.wait_until_free(mem);
@@ -86,7 +87,7 @@ impl SpRwl {
                     }
                     Err(abort) => {
                         note_abort(t, abort, TxKind::Htm);
-                        if abort.is_capacity() && self.cfg.adaptive_reader_htm {
+                        if abort.is_capacity() && self.cfg.reader_htm == ReaderHtm::Predictive {
                             self.htm_skip[sec.index()].store(crate::lock::HTM_PROBE_WINDOW);
                         }
                         if !RetryPolicy::PAPER_DEFAULT.should_retry(attempts, abort) {
@@ -155,13 +156,16 @@ impl SpRwl {
         r
     }
 
-    /// Predictive readers-try-HTM (§3.4): `true` when the section should
-    /// probe hardware. Capacity-doomed sections decrement a skip budget;
-    /// when it drains, one probe is allowed (re-arming on another capacity
-    /// abort). Racy decrements are fine — this is a statistical policy.
+    /// Readers-try-HTM (§3.4): `true` when the section should probe
+    /// hardware. Under [`ReaderHtm::Predictive`], capacity-doomed sections
+    /// decrement a skip budget; when it drains, one probe is allowed
+    /// (re-arming on another capacity abort). Racy decrements are fine —
+    /// this is a statistical policy.
     fn reader_htm_worth_probing(&self, sec: sprwl_locks::SectionId) -> bool {
-        if !self.cfg.adaptive_reader_htm {
-            return true;
+        match self.cfg.reader_htm {
+            ReaderHtm::Direct => return false,
+            ReaderHtm::Always => return true,
+            ReaderHtm::Predictive => {}
         }
         let slot = &self.htm_skip[sec.index()];
         let remaining = slot.load();

@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use htm_sim::{CapacityProfile, Htm, HtmConfig};
-use sprwl::{SpRwl, SprwlConfig};
+use sprwl::{ReaderHtm, SpRwl, SprwlConfig};
 use sprwl_locks::{LockThread, RwSync, SectionId};
 
 fn htm(threads: usize) -> Htm {
@@ -24,7 +24,7 @@ fn htm(threads: usize) -> Htm {
 /// uninstrumented path and actually exercise the bias machinery.
 fn bravo_cfg() -> SprwlConfig {
     SprwlConfig {
-        readers_try_htm: false,
+        reader_htm: ReaderHtm::Direct,
         ..SprwlConfig::with_bravo()
     }
 }

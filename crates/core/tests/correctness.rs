@@ -2,7 +2,7 @@
 //! readers, commit-time reader checks, fallback interplay, fairness.
 
 use htm_sim::{CapacityProfile, Htm, HtmConfig};
-use sprwl::{SpRwl, SprwlConfig};
+use sprwl::{ReaderHtm, SpRwl, SprwlConfig};
 use sprwl_locks::{AbortCause, CommitMode, LockThread, Role, RwSync, SectionId};
 
 fn htm(profile: CapacityProfile, threads: usize) -> Htm {
@@ -50,6 +50,29 @@ fn small_writers_commit_in_htm() {
     assert_eq!(t.stats.commits_by(Role::Writer, CommitMode::Gl), 0);
 }
 
+/// A writer whose footprint overflows HTM capacity does what the paper's
+/// does: no retry after the capacity abort, one pass under the global lock.
+#[test]
+fn capacity_overflowing_writer_commits_under_the_global_lock() {
+    let h = htm(CapacityProfile::TINY, 4);
+    let lock = SpRwl::with_defaults(&h);
+    let cells = h.memory().alloc_line_aligned(64);
+    let mut t = LockThread::new(h.thread(0));
+    for _ in 0..4 {
+        // Six written lines against TINY's two-line write budget.
+        lock.write_section(&mut t, SEC_W, &mut |a| {
+            for i in 0..6 {
+                a.write(cells.cell(i * 8), 1)?;
+            }
+            Ok(0)
+        });
+    }
+    assert_eq!(t.stats.commits_in(CommitMode::Gl), 4);
+    assert_eq!(t.stats.aborts_of(AbortCause::Capacity), 4);
+    assert_eq!(t.stats.total_aborts(), 4);
+    assert_eq!(h.direct(1).load(cells.cell(5 * 8)), 1);
+}
+
 #[test]
 fn short_readers_use_the_optimistic_htm_path() {
     let h = htm(CapacityProfile::BROADWELL_SIM, 4);
@@ -91,7 +114,7 @@ fn no_htm_first_goes_straight_to_uninstrumented() {
     let lock = SpRwl::new(
         &h,
         SprwlConfig {
-            readers_try_htm: false,
+            reader_htm: ReaderHtm::Direct,
             ..SprwlConfig::default()
         },
     );

@@ -3,7 +3,7 @@
 //! the §3.4 predictive reader-HTM policy.
 
 use htm_sim::{clock, CapacityProfile, Htm, HtmConfig};
-use sprwl::{SpRwl, SprwlConfig};
+use sprwl::{ReaderHtm, SpRwl, SprwlConfig};
 use sprwl_locks::{AbortCause, CommitMode, LockThread, Role, RwSync, SectionId};
 
 fn htm(threads: usize) -> Htm {
@@ -31,7 +31,7 @@ fn estimator_learns_section_durations_through_the_lock() {
     let lock = SpRwl::new(
         &h,
         SprwlConfig {
-            readers_try_htm: false,
+            reader_htm: ReaderHtm::Direct,
             ..SprwlConfig::default()
         },
     );
@@ -56,7 +56,7 @@ fn non_sampling_threads_do_not_pollute_estimates() {
     let lock = SpRwl::new(
         &h,
         SprwlConfig {
-            readers_try_htm: false,
+            reader_htm: ReaderHtm::Direct,
             ..SprwlConfig::default()
         },
     );
@@ -89,7 +89,7 @@ fn first_section_thread_is_promoted_when_thread_zero_coordinates() {
     let lock = SpRwl::new(
         &h,
         SprwlConfig {
-            readers_try_htm: false,
+            reader_htm: ReaderHtm::Direct,
             ..SprwlConfig::default()
         },
     );
@@ -110,7 +110,7 @@ fn first_section_thread_is_promoted_when_thread_zero_coordinates() {
 #[test]
 fn predictive_reader_htm_probes_then_backs_off() {
     let h = htm(1);
-    let lock = SpRwl::with_defaults(&h); // adaptive_reader_htm on
+    let lock = SpRwl::with_defaults(&h); // ReaderHtm::Predictive
     let big = h.memory().alloc_line_aligned(8 * 300);
     let mut t = LockThread::new(h.thread(0));
     let long_read = |t: &mut LockThread<'_>| {
@@ -141,7 +141,7 @@ fn always_probe_policy_pays_a_capacity_abort_per_read() {
     let lock = SpRwl::new(
         &h,
         SprwlConfig {
-            adaptive_reader_htm: false,
+            reader_htm: ReaderHtm::Always,
             ..SprwlConfig::default()
         },
     );
@@ -212,7 +212,7 @@ fn reader_join_aligns_start_times() {
     let lock = SpRwl::new(
         &h,
         SprwlConfig {
-            readers_try_htm: false,
+            reader_htm: ReaderHtm::Direct,
             ..SprwlConfig::rsync()
         },
     );

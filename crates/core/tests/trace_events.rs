@@ -3,7 +3,7 @@
 //! off.
 
 use htm_sim::{CapacityProfile, Htm, HtmConfig};
-use sprwl::{SpRwl, SprwlConfig};
+use sprwl::{ReaderHtm, SpRwl, SprwlConfig};
 use sprwl_locks::{LockThread, RwSync, SectionId};
 use sprwl_trace::{EventKind, TraceConfig, TraceRole};
 
@@ -36,7 +36,7 @@ fn reader_sections_trace_begin_arrive_depart_end() {
     let lock = SpRwl::new(
         &h,
         SprwlConfig {
-            readers_try_htm: false,
+            reader_htm: ReaderHtm::Direct,
             ..SprwlConfig::default()
         },
     );

@@ -11,7 +11,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use htm_sim::{Htm, HtmConfig};
-use sprwl::{SpRwl, SprwlConfig};
+use sprwl::{ReaderHtm, SpRwl, SprwlConfig};
 use sprwl_locks::{LockThread, RwSync, SectionId};
 
 const NONE: u64 = u64::MAX;
@@ -29,7 +29,7 @@ fn htm(threads: usize) -> Htm {
 fn versioned_cfg() -> SprwlConfig {
     SprwlConfig {
         versioned_sgl: true,
-        readers_try_htm: false,
+        reader_htm: ReaderHtm::Direct,
         ..SprwlConfig::default()
     }
 }
@@ -106,7 +106,7 @@ fn reader_wait_for_gl_returns_on_version_advance_not_release() {
 fn plain_sgl_never_admits_under_held_lock() {
     let cfg = SprwlConfig {
         versioned_sgl: false,
-        readers_try_htm: false,
+        reader_htm: ReaderHtm::Direct,
         ..SprwlConfig::default()
     };
     let h = htm(4);
@@ -136,7 +136,7 @@ fn readers_make_progress_through_a_fallback_writer_stream() {
 
     let cfg = SprwlConfig {
         versioned_sgl: true,
-        readers_try_htm: false,
+        reader_htm: ReaderHtm::Direct,
         ..SprwlConfig::default()
     };
     let h = Htm::new(

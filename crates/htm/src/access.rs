@@ -101,7 +101,6 @@ impl<'h> Direct<'h> {
         self.htm.dir_ref().untracked_op(
             line,
             UntrackedKind::Read,
-            self.htm.config().reads_doom_writers,
             self.tid,
             self.htm.table_ref(),
             || self.htm.mem_ref().raw_load(cell),
@@ -116,7 +115,6 @@ impl<'h> Direct<'h> {
         self.htm.dir_ref().untracked_op(
             line,
             UntrackedKind::Write,
-            true,
             self.tid,
             self.htm.table_ref(),
             || self.htm.mem_ref().raw_store(cell, val),
@@ -132,7 +130,6 @@ impl<'h> Direct<'h> {
         self.htm.dir_ref().untracked_op(
             line,
             UntrackedKind::Write,
-            true,
             self.tid,
             self.htm.table_ref(),
             || self.htm.mem_ref().raw_cas(cell, current, new),
@@ -146,7 +143,6 @@ impl<'h> Direct<'h> {
         self.htm.dir_ref().untracked_op(
             line,
             UntrackedKind::Write,
-            true,
             self.tid,
             self.htm.table_ref(),
             || loop {
@@ -197,7 +193,6 @@ impl Suspended<'_> {
         self.htm.dir_ref().untracked_op(
             line,
             UntrackedKind::Read,
-            self.htm.config().reads_doom_writers,
             self.me.tid,
             self.htm.table_ref(),
             || self.htm.mem_ref().raw_load(cell),
@@ -213,7 +208,6 @@ impl Suspended<'_> {
         self.htm.dir_ref().untracked_op(
             line,
             UntrackedKind::Write,
-            true,
             self.me.tid,
             self.htm.table_ref(),
             || self.htm.mem_ref().raw_store(cell, val),

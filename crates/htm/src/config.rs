@@ -135,10 +135,6 @@ pub struct HtmConfig {
     /// spurious “timer interrupt” abort (context-switch/IRQ model).
     /// `0.0` disables injection.
     pub interrupt_prob: f64,
-    /// Whether *untracked reads* of a line speculatively written by an
-    /// active transaction doom that transaction (true on real hardware;
-    /// disabling it is an ablation knob).
-    pub reads_doom_writers: bool,
     /// **Deprecated alias** (kept so existing configs keep their exact
     /// behaviour): probability that a yield point under
     /// [`SchedulerKind::Os`] injects a short randomized delay (a spin or
@@ -162,7 +158,6 @@ impl Default for HtmConfig {
             capacity: CapacityProfile::BROADWELL_SIM,
             conflict_policy: ConflictPolicy::RequesterWins,
             interrupt_prob: 0.0,
-            reads_doom_writers: true,
             sched_shake_prob: 0.0,
             seed: 0x5eed,
             scheduler: SchedulerKind::Os,

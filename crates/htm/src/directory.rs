@@ -485,14 +485,13 @@ impl Directory {
     /// linearized against transactional acquisitions of the same line.
     ///
     /// Untracked writes doom every holder; untracked reads doom a live
-    /// transactional writer iff `reads_doom` (strong isolation); both wait
-    /// out an in-flight commit so the raw operation happens after the flush.
+    /// transactional writer (strong isolation); both wait out an in-flight
+    /// commit so the raw operation happens after the flush.
     /// `doomer` names the accessing thread for conflict attribution.
     pub(crate) fn untracked_op<R>(
         &self,
         line: LineId,
         kind: UntrackedKind,
-        reads_doom: bool,
         doomer: u32,
         table: &TxTable,
         op: impl FnOnce() -> R,
@@ -526,27 +525,11 @@ impl Directory {
         let mut g = self.lock(line);
         if let Some(tid) = g.writer {
             let other = table.current(tid);
-            let doom_it = kind == UntrackedKind::Write || reads_doom;
-            match if doom_it {
-                table.note_doom(other, line, doomer);
-                table.doom(other)
-            } else {
-                table.classify(other)
-            } {
-                DoomOutcome::Dead | DoomOutcome::Stale => {
-                    if doom_it {
-                        g.writer = None;
-                    }
-                }
-                DoomOutcome::Committing => {
-                    table.wait_while_committing(other);
-                    g.writer = None;
-                }
-                // reads_doom disabled: the writer stays speculative and
-                // the untracked read observes the pre-transaction value,
-                // which is exactly what buffered writes imply.
-                DoomOutcome::Live => {}
+            table.note_doom(other, line, doomer);
+            if table.doom(other) == DoomOutcome::Committing {
+                table.wait_while_committing(other);
             }
+            g.writer = None;
         }
         if kind == UntrackedKind::Write {
             for &r in g.readers.as_slice() {
@@ -563,15 +546,8 @@ impl Directory {
 
     /// Conflict-resolution-only variant of [`Self::untracked_op`].
     #[cfg(test)]
-    fn untracked_access(
-        &self,
-        line: LineId,
-        kind: UntrackedKind,
-        reads_doom: bool,
-        doomer: u32,
-        table: &TxTable,
-    ) {
-        self.untracked_op(line, kind, reads_doom, doomer, table, || ());
+    fn untracked_access(&self, line: LineId, kind: UntrackedKind, doomer: u32, table: &TxTable) {
+        self.untracked_op(line, kind, doomer, table, || ());
     }
 
     /// Removes `me`'s registrations for the given lines (commit or abort
@@ -721,22 +697,20 @@ mod tests {
             .unwrap();
         dir.acquire_write(line, owner(1, 1), &table, ConflictPolicy::RequesterWins)
             .unwrap();
-        dir.untracked_access(line, UntrackedKind::Write, true, 3, &table);
+        dir.untracked_access(line, UntrackedKind::Write, 3, &table);
         assert!(table.is_doomed(owner(0, 1)));
         assert!(table.is_doomed(owner(1, 1)));
     }
 
     #[test]
-    fn untracked_read_dooms_writer_only_when_enabled() {
+    fn untracked_read_dooms_writer() {
         let dir = Directory::new(16);
         let table = TxTable::new(4);
         let line = LineId(2);
         table.begin(0, 1);
         dir.acquire_write(line, owner(0, 1), &table, ConflictPolicy::RequesterWins)
             .unwrap();
-        dir.untracked_access(line, UntrackedKind::Read, false, 3, &table);
-        assert!(!table.is_doomed(owner(0, 1)), "reads_doom disabled");
-        dir.untracked_access(line, UntrackedKind::Read, true, 3, &table);
+        dir.untracked_access(line, UntrackedKind::Read, 3, &table);
         assert!(table.is_doomed(owner(0, 1)), "strong isolation dooms");
     }
 
@@ -748,7 +722,7 @@ mod tests {
         table.begin(0, 1);
         dir.acquire_read(line, owner(0, 1), &table, ConflictPolicy::RequesterWins)
             .unwrap();
-        dir.untracked_access(line, UntrackedKind::Read, true, 3, &table);
+        dir.untracked_access(line, UntrackedKind::Read, 3, &table);
         assert!(!table.is_doomed(owner(0, 1)));
     }
 
@@ -789,7 +763,7 @@ mod tests {
         table.begin(0, 1);
         dir.acquire_write(line, owner(0, 1), &table, ConflictPolicy::RequesterWins)
             .unwrap();
-        dir.untracked_access(line, UntrackedKind::Write, true, 2, &table);
+        dir.untracked_access(line, UntrackedKind::Write, 2, &table);
         assert!(table.is_doomed(owner(0, 1)));
         assert_eq!(table.take_conflict(owner(0, 1)), Some((9, 2)));
     }
@@ -964,25 +938,19 @@ mod tests {
 
         // An untracked store drains t0 as both reader and writer of the
         // upgraded line.
-        dir.untracked_access(upgraded, UntrackedKind::Write, true, 3, &table);
+        dir.untracked_access(upgraded, UntrackedKind::Write, 3, &table);
         assert!(table.is_doomed(t0));
         check(
             "untracked write",
             [(None, &[0]), (Some(0), &[]), none, none],
         );
 
-        // An untracked read with reads_doom off leaves a dead writer; with
-        // it on, it clears the dead writer and the word goes to 0.
+        // An untracked read clears a dead writer and the word goes to 0.
         table.begin(2, 1);
         let t2 = owner(2, 1);
         dir.acquire_write(dead_writer_line, t2, &table, rw).unwrap();
         let _ = table.doom(t2);
-        dir.untracked_access(dead_writer_line, UntrackedKind::Read, false, 3, &table);
-        check(
-            "untracked read leaving a dead writer",
-            [(None, &[0]), (Some(0), &[]), none, (Some(2), &[])],
-        );
-        dir.untracked_access(dead_writer_line, UntrackedKind::Read, true, 3, &table);
+        dir.untracked_access(dead_writer_line, UntrackedKind::Read, 3, &table);
         check(
             "untracked read clearing a dead writer",
             [(None, &[0]), (Some(0), &[]), none, none],
@@ -1055,7 +1023,7 @@ mod tests {
 
         // An untracked store dooms all four too.
         let (dir, table, readers, writer) = setup(ConflictPolicy::RequesterWins);
-        dir.untracked_access(line, UntrackedKind::Write, true, 7, &table);
+        dir.untracked_access(line, UntrackedKind::Write, 7, &table);
         for &r in &readers {
             assert!(table.is_doomed(r), "reader {} survived", r.tid);
             assert_eq!(table.take_conflict(r), Some((line.0, 7)));
@@ -1070,16 +1038,16 @@ mod tests {
         let table = TxTable::new(4);
         let line = LineId(6);
         let locked = || Word(dir.word(line).load(Ordering::SeqCst)).locked();
-        dir.untracked_op(line, UntrackedKind::Write, true, 3, &table, || {
+        dir.untracked_op(line, UntrackedKind::Write, 3, &table, || {
             assert!(locked(), "store to an unheld line");
         });
         table.begin(0, 1);
         dir.acquire_read(line, owner(0, 1), &table, ConflictPolicy::RequesterWins)
             .unwrap();
-        dir.untracked_op(line, UntrackedKind::Read, true, 3, &table, || {
+        dir.untracked_op(line, UntrackedKind::Read, 3, &table, || {
             assert!(locked(), "load of a held line");
         });
-        dir.untracked_op(line, UntrackedKind::Write, true, 3, &table, || {
+        dir.untracked_op(line, UntrackedKind::Write, 3, &table, || {
             assert!(locked(), "store to a held line");
         });
         assert!(!locked());
@@ -1100,7 +1068,7 @@ mod tests {
         use std::sync::Barrier;
         let (started, done) = (Barrier::new(2), AtomicBool::new(false));
         std::thread::scope(|s| {
-            dir.untracked_op(line, kind, false, 3, table, || {
+            dir.untracked_op(line, kind, 3, table, || {
                 s.spawn(|| {
                     started.wait();
                     change();
@@ -1136,10 +1104,12 @@ mod tests {
         assert_waits_for_the_lock(&dir, &table, line, UntrackedKind::Read, || {
             dir.release(t0, [line].iter(), [].iter());
         });
+        // The untracked read of t1's written line dooms t1 (strong
+        // isolation), but the word keeps showing t1 until the unlock.
         assert_waits_for_the_lock(&dir, &table, other, UntrackedKind::Read, || {
             dir.release(t1, [].iter(), [other].iter());
         });
-        assert!(!table.is_doomed(t0) && !table.is_doomed(t1));
+        assert!(!table.is_doomed(t0) && table.is_doomed(t1));
         assert_eq!(dir.live_lines(), 0);
     }
 }

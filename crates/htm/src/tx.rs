@@ -521,7 +521,6 @@ impl Tx<'_> {
                 Ok(htm.dir.untracked_op(
                     line,
                     crate::directory::UntrackedKind::Read,
-                    true,
                     self.me.tid,
                     &htm.table,
                     || htm.mem.raw_load(cell),

@@ -147,9 +147,8 @@ fn untracked_single_cell_reads_are_atomic_under_commits() {
             let mut ctx = htm_w.thread(0);
             for i in 1..=ROUNDS {
                 let val = (i << 32) | i;
-                // Conflicts with readers cannot happen (readers are
-                // untracked and reads_doom_writers only dooms on tx lines
-                // in the read path below), so retry on doom.
+                // The untracked reader below dooms this writer whenever it
+                // reads the line mid-transaction, so retry on doom.
                 loop {
                     if ctx.txn(TxKind::Htm, |tx| tx.write(cell, val)).is_ok() {
                         break;

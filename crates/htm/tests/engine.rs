@@ -64,30 +64,22 @@ fn reads_own_writes() {
 #[test]
 fn buffered_writes_invisible_before_commit() {
     let htm = htm_with(CapacityProfile::UNBOUNDED);
-    let cfg_off = htm.config().reads_doom_writers;
-    assert!(cfg_off, "default config dooms on reads");
-    // Use a second runtime with reads_doom disabled so the observer read
-    // does not kill the writer.
-    let htm = Htm::new(
-        HtmConfig {
-            capacity: CapacityProfile::UNBOUNDED,
-            reads_doom_writers: false,
-            max_threads: 8,
-            ..HtmConfig::default()
-        },
-        1024,
-    );
     let r = htm.memory().alloc(1);
+    let mut observed = None;
     let mut ctx = htm.thread(0);
-    let observed = ctx
+    let err = ctx
         .txn(TxKind::Htm, |tx| {
             tx.write(r.cell(0), 123)?;
-            // Observe from "another thread" (untracked) mid-transaction.
-            Ok(htm.direct(1).load(r.cell(0)))
+            // Observe from "another thread" (untracked) mid-transaction:
+            // the read sees the pre-transaction value and, by strong
+            // isolation, dooms the writer.
+            observed = Some(htm.direct(1).load(r.cell(0)));
+            Ok(())
         })
-        .unwrap();
-    assert_eq!(observed, 0, "speculative store leaked before commit");
-    assert_eq!(htm.direct(1).load(r.cell(0)), 123);
+        .unwrap_err();
+    assert_eq!(observed, Some(0), "speculative store leaked before commit");
+    assert_eq!(err, Abort::Conflict);
+    assert_eq!(htm.direct(1).load(r.cell(0)), 0, "a doomed write landed");
 }
 
 #[test]

@@ -78,7 +78,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use htm_sim::clock::SpinWait;
 use htm_sim::{Htm, HtmConfig, SchedulerKind, CELLS_PER_LINE};
-use sprwl::SprwlConfig;
+use sprwl::{ReaderHtm, SprwlConfig};
 use sprwl_lincheck::{check, labels, CheckConfig, History, Verdict};
 use sprwl_locks::{CommitMode, LockThread, Role, RwSync, SectionId, SessionStats};
 use sprwl_server::ServerConfig as KvServerConfig;
@@ -256,16 +256,10 @@ pub struct TortureSpec {
     pub write_pct: u32,
     /// Mirror pairs each read section scans.
     pub reader_span: usize,
-    /// Mirror pairs each write section increments (default 1) — the
-    /// capacity-stretching torture axis. On the TINY profile even a span
-    /// of 1 overflows the HTM read budget (pair lines plus the reader-flag
-    /// lines of the commit check) while its 2 write lines still fit the
-    /// ROT budget, so a stretching lock commits on the ROT rung; a span
-    /// ≥ 2 overflows the ROT write budget too and forces the ordered
-    /// sub-transaction split. The oracle and the lincheck history both
-    /// treat the spanned increments as one atomic multi-register op, so
-    /// either rung tearing a pair — or a reader observing a half-applied
-    /// span — is a verdict, not noise.
+    /// Mirror pairs each write section increments (default 1). The oracle
+    /// and the lincheck history both treat the spanned increments as one
+    /// atomic multi-register op, so a torn pair — or a reader observing a
+    /// half-applied span — is a verdict, not noise.
     pub writer_span: usize,
     /// Extra mirror pairs each write section *reads* (observing them into
     /// the lincheck history) before its increments, clamped so the scan
@@ -274,7 +268,7 @@ pub struct TortureSpec {
     /// `alloc_padded` banks a scan of `s` pairs adds `2s` read-only lines
     /// to the writer's footprint without growing its write set, which is
     /// precisely what overflows the HTM budget while still fitting the
-    /// ROT budget — the rung `det-capacity-rot` exists to exercise.
+    /// ROT budget — the shape the `rwle-rot` cases exercise.
     pub writer_scan: usize,
     /// The operation shape (mirror pairs or the sharded KV service).
     pub workload: Workload,
@@ -1291,7 +1285,7 @@ pub fn default_matrix(threads: usize, ops_per_thread: usize) -> Vec<TortureSpec>
     // commit-time W-checkR aborts): with HTM probing on, the tiny torture
     // sections otherwise all fit in hardware.
     let unins_readers = SprwlConfig {
-        readers_try_htm: false,
+        reader_htm: ReaderHtm::Direct,
         ..SprwlConfig::default()
     };
     m.push(base(
@@ -1305,7 +1299,7 @@ pub fn default_matrix(threads: usize, ops_per_thread: usize) -> Vec<TortureSpec>
     // (with HTM probing on, short readers commit speculatively and never
     // touch the bias machinery).
     let bravo_unins = SprwlConfig {
-        readers_try_htm: false,
+        reader_htm: ReaderHtm::Direct,
         ..SprwlConfig::with_bravo()
     };
     m.push(base(
@@ -1489,7 +1483,7 @@ pub fn det_matrix(threads: usize, ops_per_thread: usize) -> Vec<TortureSpec> {
     m.push(spec);
 
     let unins_readers = SprwlConfig {
-        readers_try_htm: false,
+        reader_htm: ReaderHtm::Direct,
         ..SprwlConfig::default()
     };
     m.push(base(
@@ -1499,7 +1493,7 @@ pub fn det_matrix(threads: usize, ops_per_thread: usize) -> Vec<TortureSpec> {
     ));
 
     let bravo_unins = SprwlConfig {
-        readers_try_htm: false,
+        reader_htm: ReaderHtm::Direct,
         ..SprwlConfig::with_bravo()
     };
     m.push(base(
@@ -1545,38 +1539,6 @@ pub fn det_matrix(threads: usize, ops_per_thread: usize) -> Vec<TortureSpec> {
         },
     ));
 
-    // The capacity-stretching acceptance cases (TINY + `stretch` on).
-    // `det-capacity-rot`'s writers scan four extra pairs before their
-    // increment — ten padded read lines against TINY's four-line
-    // read budget guarantees the HTM rung aborts on capacity, while the
-    // 2-line write set still fits the ROT budget, so every writer must
-    // land on the rollback-only rung. `det-capacity-split`'s spanning
-    // writers overflow the ROT *write* budget too and run as ordered
-    // sub-transactions under the fallback ticket. The mirror oracle plus
-    // the lincheck verdict double-check the DESIGN §6i claim that
-    // neither rung ever lets a reader observe a torn pair or a
-    // half-applied span.
-    let mut rot = base(
-        "det-capacity-rot".into(),
-        LockKind::Sprwl(SprwlConfig::stretching()),
-        HtmConfig {
-            capacity: CapacityProfile::TINY,
-            ..det.clone()
-        },
-    );
-    rot.writer_scan = 4;
-    m.push(rot);
-    let mut split = base(
-        "det-capacity-split".into(),
-        LockKind::Sprwl(SprwlConfig::stretching()),
-        HtmConfig {
-            capacity: CapacityProfile::TINY,
-            ..det.clone()
-        },
-    );
-    split.writer_span = 3;
-    m.push(split);
-
     m.push(base("det-tle".into(), LockKind::Tle, det.clone()));
     m.push(base(
         "det-rwle-power8".into(),
@@ -1609,7 +1571,7 @@ pub fn det_matrix(threads: usize, ops_per_thread: usize) -> Vec<TortureSpec> {
         (
             "det-server-kv-int5",
             SprwlConfig {
-                readers_try_htm: false,
+                reader_htm: ReaderHtm::Direct,
                 versioned_sgl: true,
                 ..SprwlConfig::default()
             },

@@ -12,18 +12,13 @@
 //! UPDATE_GOLDEN=1 cargo test -p sprwl-torture --test golden_trace
 //! ```
 
-use htm_sim::{CapacityProfile, HtmConfig, SchedulerKind};
+use htm_sim::{HtmConfig, SchedulerKind};
 use sprwl::SprwlConfig;
 use sprwl_torture::{first_divergence, run_case_artifacts, LockKind, TortureSpec, Workload};
 
 const GOLDEN_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/golden/det_smoke.trace.jsonl"
-);
-
-const STRETCH_GOLDEN_PATH: &str = concat!(
-    env!("CARGO_MANIFEST_DIR"),
-    "/tests/golden/det_stretch_smoke.trace.jsonl"
 );
 
 /// Base seed for the golden case; arbitrary but fixed forever.
@@ -58,61 +53,30 @@ fn golden_spec() -> TortureSpec {
     }
 }
 
-/// The capacity-stretching pinned case: TINY budgets with the stretching
-/// ladder on, and span-3 writers whose six padded write lines overflow
-/// both the direct and ROT rungs. The committed bytes pin the
-/// `stretch-rot` / `stretch-split` / `stretch-chunk` event shapes on the
-/// exact virtual timestamps the escalation ladder produces, so a change
-/// to the rung order, the chunk flush points, or the event format shows
-/// up as a line diff here.
-fn stretch_golden_spec() -> TortureSpec {
-    TortureSpec {
-        name: "det-golden-stretch".into(),
-        lock: LockKind::Sprwl(SprwlConfig::stretching()),
-        htm: HtmConfig {
-            scheduler: SchedulerKind::Deterministic {
-                schedule_seed: 0x601D_57E7,
-            },
-            capacity: CapacityProfile::TINY,
-            ..HtmConfig::default()
-        },
-        threads: 2,
-        ops_per_thread: 10,
-        pairs: 4,
-        write_pct: 60,
-        reader_span: 2,
-        writer_span: 3,
-        writer_scan: 0,
-        workload: Workload::Mirror,
-        lincheck: false,
-        churn: false,
-    }
-}
-
-fn assert_matches_golden(spec: &TortureSpec, path: &str, base_seed: u64) {
-    let art = run_case_artifacts(spec, base_seed);
+#[test]
+fn deterministic_trace_matches_the_committed_golden_file() {
+    let spec = golden_spec();
+    let art = run_case_artifacts(&spec, GOLDEN_BASE_SEED);
     let summary = art
         .outcome
         .as_ref()
         .unwrap_or_else(|e| panic!("{}: the golden case must pass the oracle: {e}", spec.name));
-    if spec.lincheck {
-        assert_eq!(
-            summary.lincheck.label(),
-            "ok",
-            "{}: recorded history must be linearizable",
-            spec.name
-        );
-    }
+    assert_eq!(
+        summary.lincheck.label(),
+        "ok",
+        "{}: recorded history must be linearizable",
+        spec.name
+    );
     let got = art.trace_jsonl();
 
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(path, &got).expect("failed to write golden file");
+        std::fs::write(GOLDEN_PATH, &got).expect("failed to write golden file");
         return;
     }
 
-    let want = std::fs::read_to_string(path).unwrap_or_else(|e| {
+    let want = std::fs::read_to_string(GOLDEN_PATH).unwrap_or_else(|e| {
         panic!(
-            "golden file {path} unreadable ({e}); regenerate with \
+            "golden file {GOLDEN_PATH} unreadable ({e}); regenerate with \
              UPDATE_GOLDEN=1 cargo test -p sprwl-torture --test golden_trace"
         )
     });
@@ -124,29 +88,6 @@ fn assert_matches_golden(spec: &TortureSpec, path: &str, base_seed: u64) {
              UPDATE_GOLDEN=1 cargo test -p sprwl-torture --test golden_trace\n\
              and review the diff (scripts/diff_traces.py shows the full divergence).",
             spec.name
-        );
-    }
-}
-
-#[test]
-fn deterministic_trace_matches_the_committed_golden_file() {
-    assert_matches_golden(&golden_spec(), GOLDEN_PATH, GOLDEN_BASE_SEED);
-}
-
-#[test]
-fn stretch_trace_matches_the_committed_golden_file() {
-    assert_matches_golden(
-        &stretch_golden_spec(),
-        STRETCH_GOLDEN_PATH,
-        GOLDEN_BASE_SEED,
-    );
-    // Guard against the golden pinning a vacuous schedule: the committed
-    // bytes must actually contain the stretching events they exist to pin.
-    let golden = std::fs::read_to_string(STRETCH_GOLDEN_PATH).expect("golden just checked");
-    for kind in ["stretch-split", "stretch-chunk"] {
-        assert!(
-            golden.contains(kind),
-            "stretch golden carries no {kind} events — the case no longer stretches"
         );
     }
 }

@@ -143,9 +143,7 @@ pub struct Timeline {
     /// Data-conflict aborts (`cause` starting with `"conflict"`) per bucket.
     pub conflict_aborts: Vec<u64>,
     /// Capacity-overflow aborts (`cause` starting with `"capacity"`, both
-    /// plain-HTM and ROT) per bucket. Writer capacity pressure used to be
-    /// invisible here — it fell through to the per-section rollups only —
-    /// which made stretched-writer captures look conflict-free.
+    /// plain-HTM and ROT) per bucket.
     pub capacity_aborts: Vec<u64>,
 }
 

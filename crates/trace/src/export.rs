@@ -86,15 +86,6 @@ fn push_kind_fields(out: &mut String, kind: &EventKind) {
             let _ = write!(out, r#""occupied":{},"scanned":{}"#, occupied, scanned);
         }
         EventKind::BiasRearm => {}
-        EventKind::StretchRot { attempt } => {
-            let _ = write!(out, r#""attempt":{}"#, attempt);
-        }
-        EventKind::StretchSplit { chunks } => {
-            let _ = write!(out, r#""chunks":{}"#, chunks);
-        }
-        EventKind::StretchChunk { index, lines } => {
-            let _ = write!(out, r#""index":{},"lines":{}"#, index, lines);
-        }
         EventKind::SlotAcquire { slot } | EventKind::SlotRelease { slot } => {
             let _ = write!(out, r#""slot":{}"#, slot);
         }

@@ -7,8 +7,8 @@
 //! conflicted, *which scheduler decision* fired, or *in what order*. This
 //! crate records the full critical-section lifecycle as a stream of
 //! timestamped events so a misbehaving run can be replayed decision by
-//! decision — the same lens BRVO-style reader-scalability studies and the
-//! POWER8 capacity-stretching work rely on.
+//! decision — the same lens BRAVO-style reader-scalability studies rely
+//! on.
 //!
 //! ## Design
 //!
@@ -18,9 +18,8 @@
 //!   uninstrumented-reader fast path stays uninstrumented. When the ring
 //!   fills, the oldest events are overwritten (postmortems want the last-N
 //!   events, not the first-N).
-//! * **Zero-cost when off**: [`TraceConfig::Off`] (the default) reduces
-//!   [`TraceBuffer::push`] to one branch on thread-local state; disabling
-//!   the `record` cargo feature removes even that at compile time.
+//! * **Near-zero cost when off**: [`TraceConfig::Off`] (the default)
+//!   reduces [`TraceBuffer::push`] to one branch on thread-local state.
 //! * **Timestamps** come from [`htm_sim::clock`], the same monotonic
 //!   nanosecond clock the scheduling layer uses, so trace timelines line up
 //!   with `clock_r`/`clock_w` adverts exactly.
@@ -189,26 +188,6 @@ pub enum EventKind {
     /// post-revocation cooldown, restoring the single-store reader fast
     /// path.
     BiasRearm,
-    /// A capacity-stretched writer escalated to a POWER8-style
-    /// rollback-only transaction (reads untracked, writes buffered), with
-    /// the commit-time reader check run from suspended state.
-    StretchRot {
-        /// 1-based ROT attempt number within this section execution.
-        attempt: u32,
-    },
-    /// A writer that overflowed even the rollback-only budget split its
-    /// section into ordered sub-transactions under the fallback ticket.
-    StretchSplit {
-        /// Number of sub-transactions the buffered write-set was split into.
-        chunks: u32,
-    },
-    /// One sub-transaction of a split writer flushed its write chunk.
-    StretchChunk {
-        /// 0-based chunk index within the split.
-        index: u32,
-        /// Distinct cache lines the chunk wrote.
-        lines: u32,
-    },
     /// A thread context was claimed from the dynamic slot registry.
     SlotAcquire {
         /// The hardware-thread slot claimed.
@@ -251,9 +230,6 @@ impl EventKind {
             EventKind::SglWaitSenior { .. } => "sgl-wait-senior",
             EventKind::BiasRevoke { .. } => "bias-revoke",
             EventKind::BiasRearm => "bias-rearm",
-            EventKind::StretchRot { .. } => "stretch-rot",
-            EventKind::StretchSplit { .. } => "stretch-split",
-            EventKind::StretchChunk { .. } => "stretch-chunk",
             EventKind::SlotAcquire { .. } => "slot-acquire",
             EventKind::SlotRelease { .. } => "slot-release",
             EventKind::Mark { label, .. } => label,
@@ -438,7 +414,6 @@ impl TraceBuffer {
     /// is what makes two same-seed deterministic runs export byte-identical
     /// JSONL. The clock is only consulted *after* the enabled check, so
     /// `TraceConfig::Off` never touches it.
-    #[cfg(feature = "record")]
     #[inline]
     pub fn push(&mut self, kind: EventKind) {
         if !self.enabled {
@@ -493,12 +468,6 @@ impl TraceBuffer {
             self.next = (self.next + 1) % self.capacity;
         }
     }
-
-    /// Compiled-out stub: with the `record` feature disabled the entire
-    /// event path vanishes at compile time.
-    #[cfg(not(feature = "record"))]
-    #[inline(always)]
-    pub fn push(&mut self, _kind: EventKind) {}
 
     /// Events currently retained.
     pub fn len(&self) -> usize {
@@ -604,7 +573,6 @@ mod tests {
         assert_eq!(b.snapshot().events.len(), 0);
     }
 
-    #[cfg(feature = "record")]
     #[test]
     fn ring_keeps_the_last_n_in_order() {
         let mut b = TraceBuffer::new(0, TraceConfig::ring(4));
@@ -633,7 +601,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "record")]
     #[test]
     fn partial_ring_snapshot_preserves_order() {
         let mut b = TraceBuffer::new(1, TraceConfig::ring(8));
@@ -681,7 +648,6 @@ mod tests {
         assert_eq!(TraceConfig::parse("firehose"), None);
     }
 
-    #[cfg(feature = "record")]
     fn push_section(b: &mut TraceBuffer, role: TraceRole, sec: u32) {
         b.push(EventKind::SectionBegin { role, sec });
         b.push(EventKind::TxAttempt { role, attempt: 1 });
@@ -698,7 +664,6 @@ mod tests {
         });
     }
 
-    #[cfg(feature = "record")]
     #[test]
     fn sampling_keeps_whole_sections() {
         let mut b = TraceBuffer::new(0, TraceConfig::sampled(3, 64));
@@ -728,7 +693,6 @@ mod tests {
         assert_eq!((begins, ends), (3, 3));
     }
 
-    #[cfg(feature = "record")]
     #[test]
     fn sampling_is_deterministic_and_first_section_is_kept() {
         let runs: Vec<Vec<Event>> = (0..2)
@@ -748,7 +712,6 @@ mod tests {
         ));
     }
 
-    #[cfg(feature = "record")]
     #[test]
     fn sampling_records_out_of_section_events() {
         let mut b = TraceBuffer::new(0, TraceConfig::sampled(1000, 64));
@@ -771,7 +734,6 @@ mod tests {
         assert_eq!(snap.sampling.unwrap().unsampled, 8);
     }
 
-    #[cfg(feature = "record")]
     #[test]
     fn ring_snapshot_has_no_sampling_meta() {
         let mut b = TraceBuffer::new(0, TraceConfig::ring(8));

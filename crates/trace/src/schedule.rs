@@ -259,12 +259,6 @@ pub fn behavior_fingerprint(traces: &[ThreadTrace]) -> u64 {
                 EventKind::SlotAcquire { slot } | EventKind::SlotRelease { slot } => {
                     fp.push(u64::from(*slot));
                 }
-                EventKind::StretchRot { attempt } => fp.push(u64::from(*attempt)),
-                EventKind::StretchSplit { chunks } => fp.push(u64::from(*chunks)),
-                EventKind::StretchChunk { index, lines } => {
-                    fp.push(u64::from(*index));
-                    fp.push(u64::from(*lines));
-                }
                 EventKind::ReaderArrive
                 | EventKind::ReaderDepart
                 | EventKind::FallbackRelease

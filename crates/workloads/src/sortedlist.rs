@@ -173,8 +173,8 @@ impl SortedList {
     /// *writer* of the paper's motivation mirrored onto the write path: the
     /// traversal's read-set grows with `hi` (overflowing plain HTM read
     /// budgets) while the write-set is bounded by the window — exactly the
-    /// shape a rollback-only stretched transaction absorbs (reads
-    /// untracked, writes within the ROT budget).
+    /// shape a rollback-only transaction absorbs (reads untracked, writes
+    /// within the ROT budget).
     ///
     /// # Errors
     ///

@@ -259,10 +259,9 @@ fn hot_or_uniform<R: rand::Rng>(rng: &mut R, key_space: u64) -> u64 {
 /// range writers* — each write critical section traverses the list and
 /// bumps every value in a key window, so its read-set grows with the
 /// window position while its write-set stays bounded by the window size.
-/// This is the capacity-stretching shape: on POWER8-like profiles the
-/// traversal overflows the plain HTM read budget but the write-set fits a
-/// rollback-only transaction; on TINY nothing fits and the writer must
-/// split.
+/// On POWER8-like profiles the traversal overflows the plain HTM read
+/// budget but the write-set fits a rollback-only transaction (RW-LE's
+/// writer path); on TINY nothing fits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RangeScanSpec {
     /// Slab capacity (nodes).

@@ -38,24 +38,6 @@ def summarize_json(doc: dict) -> None:
             f"{name} {p['throughput'] / 1e3:.0f}k" for name, p in sorted(locks.items())
         )
         print(f"{workload} thr={threads}: {line}  [best: {best[0]}]")
-    # Capacity-sweep rows: wherever a workload carries both stretch arms,
-    # print the before/after contrast the capacity documents exist for —
-    # writer capacity aborts (plain + ROT) and the throughput delta of
-    # turning the stretching ladder on.
-    for (workload, threads) in sorted(groups, key=str):
-        locks = groups[(workload, threads)]
-        off, on = locks.get("SpRWL"), locks.get("SpRWL+stretch")
-        if not off or not on:
-            continue
-
-        def caps(p):
-            return p["aborts"].get("capacity", 0) + p["aborts"].get("capacity-rot", 0)
-
-        delta = (on["throughput"] / max(off["throughput"], 1e-9) - 1) * 100
-        print(
-            f"  stretch {workload} thr={threads}: capacity aborts "
-            f"{caps(off)} -> {caps(on)}, tx/s {delta:+.1f}%"
-        )
     for (workload, threads) in sorted(groups, key=str):
         cells = []
         for name, p in sorted(groups[(workload, threads)].items()):

@@ -72,7 +72,7 @@ fn uninstrumented_readers_are_immune_to_injection() {
     // Force readers straight to the uninstrumented path: with HTM probing
     // off, reader commits must be injection-free even at brutal rates.
     let cfg = SprwlConfig {
-        readers_try_htm: false,
+        reader_htm: ReaderHtm::Direct,
         ..SprwlConfig::default()
     };
     let report = run_noisy(&LockKind::Sprwl(cfg), 0.10);

@@ -85,7 +85,7 @@ fn versioned_sgl_lets_readers_through_a_writer_stream() {
         &h,
         SprwlConfig {
             versioned_sgl: true,
-            readers_try_htm: false,
+            reader_htm: ReaderHtm::Direct,
             ..SprwlConfig::default()
         },
     );
@@ -145,7 +145,7 @@ fn writer_htm_commits(scheduling: Scheduling, schedule_seed: u64) -> u64 {
         &h,
         SprwlConfig {
             scheduling,
-            readers_try_htm: false,
+            reader_htm: ReaderHtm::Direct,
             ..SprwlConfig::default()
         },
     );

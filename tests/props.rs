@@ -4,8 +4,7 @@
 use proptest::prelude::*;
 use sprwl_repro::prelude::*;
 
-/// Arbitrary SpRWL configuration over every knob but `stretch`, which
-/// acts only on capacity aborts that these small sections never take.
+/// Arbitrary SpRWL configuration over every knob.
 fn sprwl_config() -> impl Strategy<Value = SprwlConfig> {
     (
         prop_oneof![
@@ -19,16 +18,18 @@ fn sprwl_config() -> impl Strategy<Value = SprwlConfig> {
             Just(ReaderTracking::Snzi),
             Just(ReaderTracking::Bravo),
         ],
-        any::<bool>(), // readers_try_htm
-        any::<bool>(), // adaptive_reader_htm
+        prop_oneof![
+            Just(ReaderHtm::Direct),
+            Just(ReaderHtm::Predictive),
+            Just(ReaderHtm::Always),
+        ],
         any::<bool>(), // versioned_sgl
     )
         .prop_map(
-            |(scheduling, tracking, try_htm, adaptive, versioned)| SprwlConfig {
+            |(scheduling, tracking, reader_htm, versioned)| SprwlConfig {
                 scheduling,
                 reader_tracking: tracking,
-                readers_try_htm: try_htm,
-                adaptive_reader_htm: adaptive,
+                reader_htm,
                 versioned_sgl: versioned,
                 ..SprwlConfig::default()
             },

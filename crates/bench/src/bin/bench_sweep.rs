@@ -48,7 +48,10 @@
 //! category defaults to `capacity`.
 //!
 //! A `--threads` entry that `htm_sim::HtmConfig::validate` refuses (above
-//! 1023) exits 2 with one line on stderr.
+//! 1023) exits 2 with one line on stderr, and so does a run that would
+//! measure nothing or cannot run: `--ops 0`, a `--secs` that is not a
+//! finite number above 0, or a `--warmup-secs` that is negative or not
+//! finite.
 //!
 //! `--figure NAME` runs one of the paper's figures as a fixed grid
 //! (`fig3` … `fig7`, or `ablation`; see `sprwl_bench::figures`) over the
@@ -300,6 +303,24 @@ fn main() -> ExitCode {
         eprintln!("error: --threads: {e}");
         return ExitCode::from(2);
     }
+    // A run of no ops or no window measures nothing, and a window that
+    // `Duration` cannot hold cannot run: refuse them instead of writing a
+    // document of zeros or panicking.
+    if ops == 0 {
+        eprintln!("error: --ops must be at least 1");
+        return ExitCode::from(2);
+    }
+    let window = match Duration::try_from_secs_f64(secs) {
+        Ok(d) if !d.is_zero() => d,
+        _ => {
+            eprintln!("error: --secs must be a finite number of seconds above 0, not {secs}");
+            return ExitCode::from(2);
+        }
+    };
+    let Ok(warmup) = Duration::try_from_secs_f64(warmup_secs) else {
+        eprintln!("error: --warmup-secs must be a finite number of seconds, at least 0, not {warmup_secs}");
+        return ExitCode::from(2);
+    };
 
     let category_set = seen.contains("--category");
     let wall_requested = seen.contains("--wall");
@@ -312,8 +333,8 @@ fn main() -> ExitCode {
             &name,
             &cfg.threads,
             cfg.seed,
-            Duration::from_secs_f64(warmup_secs),
-            Duration::from_secs_f64(secs),
+            warmup,
+            window,
             &date,
             &commit,
         ) else {
@@ -444,8 +465,8 @@ fn main() -> ExitCode {
         }
     } else {
         SweepMode::Wall {
-            warmup: Duration::from_secs_f64(warmup_secs),
-            duration: Duration::from_secs_f64(secs),
+            warmup,
+            duration: window,
         }
     };
 

@@ -18,7 +18,7 @@
 
 use std::time::Duration;
 
-use htm_sim::{CapacityProfile, ConflictPolicy, HtmConfig};
+use htm_sim::{CapacityProfile, HtmConfig};
 use sprwl::{ReaderHtm, SprwlConfig};
 use sprwl_trace::TraceConfig;
 use sprwl_workloads::tpcc::TpccScale;
@@ -50,8 +50,8 @@ pub struct FigurePoint {
     pub label: String,
     /// The scheme under test.
     pub lock: LockKind,
-    /// Runtime template: capacity profile, worker count (`max_threads`)
-    /// and, for the conflict-policy ablation, the policy.
+    /// Runtime template: capacity profile and worker count
+    /// (`max_threads`).
     pub htm: HtmConfig,
     /// What the workers run.
     pub load: FigureLoad,
@@ -181,7 +181,7 @@ pub fn figure_points(name: &str, threads: &[usize]) -> Option<Vec<FigurePoint>> 
     Some(pts)
 }
 
-/// The three knob sweeps beyond the paper's own: Broadwell-sim, 10 %
+/// The two knob sweeps beyond the paper's own: Broadwell-sim, 10 %
 /// updates, long readers (and short ones for the readers-try-HTM knob).
 fn ablation_points(threads: usize) -> Vec<FigurePoint> {
     let profile = CapacityProfile::BROADWELL_SIM;
@@ -213,15 +213,6 @@ fn ablation_points(threads: usize) -> Vec<FigurePoint> {
             ..d()
         };
         pts.push(arm("sgl-long-u10", long, label, cfg));
-    }
-    // 3. The substrate's conflict policy.
-    for (policy, label) in [
-        (ConflictPolicy::RequesterWins, "requester-wins"),
-        (ConflictPolicy::ResponderWins, "responder-wins"),
-    ] {
-        let mut p = arm("conflict-policy-long-u10", long, label, d());
-        p.htm.conflict_policy = policy;
-        pts.push(p);
     }
     pts
 }
@@ -443,22 +434,19 @@ mod tests {
     }
 
     #[test]
-    fn ablation_covers_the_three_knobs_at_the_largest_thread_count() {
+    fn ablation_covers_both_knobs_at_the_largest_thread_count() {
         let pts = grid("ablation");
         assert_eq!(
             distinct(&pts, |p| p.workload.clone()),
             [
                 "reader-htm-long-u10",
                 "reader-htm-short-u10",
-                "sgl-long-u10",
-                "conflict-policy-long-u10"
+                "sgl-long-u10"
             ]
             .map(|w| format!("{w}@broadwell-sim"))
         );
-        assert_eq!(pts.len(), 6 + 2 + 2);
+        assert_eq!(pts.len(), 6 + 2);
         assert_eq!(distinct(&pts, |p| p.htm.max_threads), [8]);
-        let responder = pts.iter().find(|p| p.label == "responder-wins").unwrap();
-        assert_eq!(responder.htm.conflict_policy, ConflictPolicy::ResponderWins);
         let keys = distinct(&pts, |p| (p.workload.clone(), p.label.clone()));
         assert_eq!(keys.len(), pts.len(), "point keys must be unique");
     }

@@ -196,7 +196,7 @@ impl SweepMode {
     pub fn runtime(&self, htm: HtmConfig, cells: usize) -> Htm {
         let scheduler = match *self {
             SweepMode::Wall { .. } => SchedulerKind::Os,
-            SweepMode::Det { schedule_seed, .. } => SchedulerKind::Deterministic { schedule_seed },
+            SweepMode::Det { schedule_seed, .. } => SchedulerKind::deterministic(schedule_seed),
         };
         Htm::new(HtmConfig { scheduler, ..htm }, cells)
     }
@@ -283,7 +283,6 @@ fn run_wall(
                     while !stop.load(Ordering::Relaxed) {
                         op(&mut ctx);
                     }
-                    t.fold_trace_counters();
                     (t.stats, t.trace.snapshot())
                 })
             })
@@ -353,7 +352,6 @@ fn run_det(
                         op(&mut ctx);
                     }
                     let v1 = clock::now();
-                    t.fold_trace_counters();
                     (t.stats, v0, v1, t.trace.snapshot())
                 })
             })

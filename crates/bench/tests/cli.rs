@@ -1,8 +1,9 @@
 //! `bench-sweep --figure`: a known figure writes its document; a figure
 //! next to a flag that reshapes or re-times the grid, or an unknown name,
 //! is a usage error (exit 2) that runs nothing. `--locks` names only the
-//! paper's schemes (under `--server`, only the three reader trackings), and
-//! `--threads` stays within the simulator's limit.
+//! paper's schemes (under `--server`, only the three reader trackings),
+//! `--threads` stays within the simulator's limit, and a run that would
+//! measure nothing (no ops, no window) exits 2 instead of writing zeros.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -117,4 +118,38 @@ fn threads_above_the_simulator_limit_exit_2_with_one_line() {
         assert!(stderr.contains(limit), "{args:?}: {stderr}");
     }
     assert!(!out.exists(), "a refused thread count must write nothing");
+}
+
+#[test]
+fn runs_that_measure_nothing_exit_2_with_one_line() {
+    let out = out_dir("empty-runs-refused");
+    for (args, flag) in [
+        (&["--wall", "--threads", "1", "--secs", "-1"][..], "--secs"),
+        (&["--wall", "--threads", "1", "--secs", "0"], "--secs"),
+        (&["--wall", "--threads", "1", "--secs", "inf"], "--secs"),
+        (&["--wall", "--threads", "1", "--secs", "NaN"], "--secs"),
+        (
+            &["--figure", "fig5", "--threads", "1", "--secs", "-1"],
+            "--secs",
+        ),
+        (
+            &["--wall", "--threads", "1", "--warmup-secs", "-0.5"],
+            "--warmup-secs",
+        ),
+        (&["--det", "--threads", "1", "--ops", "0"], "--ops"),
+        (&["--server", "--threads", "2", "--ops", "0"], "--ops"),
+    ] {
+        let run = bench_sweep(args, &out);
+        assert_eq!(run.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("error: {flag} must be")),
+            "{args:?}: {stderr}"
+        );
+    }
+    assert!(
+        !out.exists(),
+        "a run that measures nothing must write nothing"
+    );
 }

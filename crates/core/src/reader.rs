@@ -10,17 +10,13 @@ use sprwl_trace::{EventKind, TraceBuffer, TraceRole, NO_LINE, NO_PEER};
 use crate::config::ReaderHtm;
 use crate::lock::{SpRwl, NONE, STATE_WRITER};
 
-/// Records a speculative abort in both the stats and the trace, pulling
-/// conflict attribution (line + peer) out of the thread context when the
-/// substrate provided it.
+/// Records a speculative abort in the stats, and in the trace with its
+/// conflict attribution (line + peer) when the substrate provided it.
 pub(crate) fn note_abort(t: &mut LockThread<'_>, abort: htm_sim::Abort, kind: TxKind) {
     let cause = AbortCause::classify(abort, kind);
     t.stats.record_abort(cause);
     let (line, peer) = match t.ctx.last_conflict() {
-        Some(info) => {
-            t.stats.record_conflict(info.line.index() as u64, info.peer);
-            (info.line.index() as u64, info.peer)
-        }
+        Some(info) => (info.line.index() as u64, info.peer),
         None => (NO_LINE, NO_PEER),
     };
     t.trace.push(EventKind::TxAbort {

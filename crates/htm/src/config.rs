@@ -1,5 +1,5 @@
-//! Configuration of the simulated HTM: capacity profiles, conflict policy,
-//! failure injection.
+//! Configuration of the simulated HTM: capacity profiles, failure
+//! injection, the execution substrate.
 
 /// Read/write-set capacity limits, in cache lines.
 ///
@@ -70,56 +70,46 @@ impl CapacityProfile {
     }
 }
 
-/// What happens when a transactional access conflicts with another *active*
-/// transaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ConflictPolicy {
-    /// The requesting access wins and the current holder is doomed — the
-    /// behaviour of coherence-based HTMs (Intel, POWER8), and the policy
-    /// SpRWL’s correctness argument assumes. Default.
-    #[default]
-    RequesterWins,
-    /// The requesting transaction aborts itself instead; kept for the
-    /// conflict-policy ablation benchmark.
-    ResponderWins,
-}
-
 /// Which execution substrate drives the simulated threads (see
 /// [`crate::sched`]).
 ///
-/// Not `Copy` since [`SchedulerKind::DeterministicPolicy`] carries an
+/// Not `Copy` since [`SchedulerKind::Deterministic`] can carry an
 /// arbitrarily long delay vector or decision trace; clone freely, the
 /// payloads are small or refcounted.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub enum SchedulerKind {
-    /// Free-running OS threads ([`crate::sched::OsScheduler`]): the
-    /// pre-refactor behaviour, with the wall clock and optional seeded
-    /// schedule shake. Default.
+    /// Free-running OS threads ([`crate::sched::OsScheduler`]), with the
+    /// wall clock and optional seeded schedule shake
+    /// ([`HtmConfig::sched_shake_prob`]). Default.
     #[default]
     Os,
     /// Fully serialized cooperative scheduling
     /// ([`crate::sched::DetScheduler`]): one thread runs at a time, picked
-    /// by a seeded PRNG, over a virtual clock. The same
-    /// `(seed, config, schedule_seed)` triple replays bit-exactly.
+    /// at every yield point by `policy`, over a virtual clock. The same
+    /// `(seed, config, policy)` triple replays bit-exactly.
     ///
     /// Requires exactly [`HtmConfig::max_threads`] claimed thread contexts
     /// (registration is a start barrier), and participants must not block
     /// on OS primitives outside the scheduler's view.
     Deterministic {
-        /// Seed for the schedule PRNG (independent of the workload seed so
-        /// the two axes can be swept separately).
-        schedule_seed: u64,
-    },
-    /// Fully serialized scheduling driven by an explicit
-    /// [`crate::sched::SchedulePolicyKind`] — the schedule-space explorer's
-    /// entry point: delay-bounded enumeration or exact decision-trace
-    /// replay instead of one PRNG stream.
-    /// `Deterministic { schedule_seed }` is shorthand for
-    /// `DeterministicPolicy { policy: Random { seed: schedule_seed } }`.
-    DeterministicPolicy {
-        /// The picking policy to install.
+        /// Who runs next: a seeded PRNG stream
+        /// ([`SchedulerKind::deterministic`]), a delay-bounded enumeration
+        /// step or an exact decision-trace replay.
         policy: crate::sched::SchedulePolicyKind,
     },
+}
+
+impl SchedulerKind {
+    /// The deterministic scheduler picking from a PRNG seeded with
+    /// `schedule_seed` (independent of the workload seed so the two axes
+    /// can be swept separately).
+    pub const fn deterministic(schedule_seed: u64) -> Self {
+        SchedulerKind::Deterministic {
+            policy: crate::sched::SchedulePolicyKind::Random {
+                seed: schedule_seed,
+            },
+        }
+    }
 }
 
 /// Full configuration for an [`crate::Htm`] instance.
@@ -129,21 +119,17 @@ pub struct HtmConfig {
     pub max_threads: usize,
     /// Capacity limits.
     pub capacity: CapacityProfile,
-    /// Transaction-vs-transaction conflict resolution.
-    pub conflict_policy: ConflictPolicy,
     /// Probability that any single transactional access triggers a
     /// spurious “timer interrupt” abort (context-switch/IRQ model).
     /// `0.0` disables injection.
     pub interrupt_prob: f64,
-    /// **Deprecated alias** (kept so existing configs keep their exact
-    /// behaviour): probability that a yield point under
-    /// [`SchedulerKind::Os`] injects a short randomized delay (a spin or
-    /// an OS-thread yield) to perturb the interleaving. The knob now
-    /// simply parameterizes [`crate::sched::OsScheduler`]; prefer
-    /// [`SchedulerKind::Deterministic`], which replaces probabilistic
-    /// shaking with exact schedule control. Ignored under the
-    /// deterministic scheduler. `0.0` disables (the default; it adds one
-    /// branch per access when off).
+    /// Probability that a yield point under [`SchedulerKind::Os`] injects
+    /// a short seeded-random delay (a spin or an OS-thread yield) to
+    /// perturb the interleaving ([`crate::sched::OsScheduler`]). It is the
+    /// free-running torture matrix's perturbation, so each seed explores a
+    /// different interleaving family on real threads. Ignored under the
+    /// deterministic scheduler, which controls the schedule exactly.
+    /// `0.0` disables (the default; yield points are then skipped).
     pub sched_shake_prob: f64,
     /// Seed for the per-thread injection PRNGs (deterministic tests).
     pub seed: u64,
@@ -156,7 +142,6 @@ impl Default for HtmConfig {
         Self {
             max_threads: 64,
             capacity: CapacityProfile::BROADWELL_SIM,
-            conflict_policy: ConflictPolicy::RequesterWins,
             interrupt_prob: 0.0,
             sched_shake_prob: 0.0,
             seed: 0x5eed,
@@ -245,7 +230,7 @@ mod tests {
     fn scheduler_defaults_to_free_running() {
         assert_eq!(HtmConfig::default().scheduler, SchedulerKind::Os);
         let det = HtmConfig {
-            scheduler: SchedulerKind::Deterministic { schedule_seed: 1 },
+            scheduler: SchedulerKind::deterministic(1),
             ..HtmConfig::default()
         };
         det.validate().unwrap();
@@ -254,7 +239,7 @@ mod tests {
     #[test]
     fn policy_scheduler_is_valid_and_cloneable() {
         let cfg = HtmConfig {
-            scheduler: SchedulerKind::DeterministicPolicy {
+            scheduler: SchedulerKind::Deterministic {
                 policy: crate::sched::SchedulePolicyKind::DelayBounded { delays: vec![0, 3] },
             },
             ..HtmConfig::default()

@@ -8,8 +8,8 @@
 //! has at most one transactional *writer* and any number of transactional
 //! *readers*. Accesses resolve conflicts eagerly:
 //!
-//! * transactional accesses under [`ConflictPolicy::RequesterWins`] doom the
-//!   current holder(s) (coherence requests always win in hardware);
+//! * transactional accesses doom the conflicting holder(s): the requester
+//!   wins, as coherence requests do on Intel's and POWER8's HTMs;
 //! * **untracked** stores doom every transaction holding the line — this is
 //!   the strong-isolation property SpRWL's uninstrumented readers depend on;
 //! * untracked accesses that find the holder mid-commit spin until the
@@ -28,10 +28,8 @@ use std::sync::atomic::{AtomicU32, Ordering};
 
 use parking_lot::Mutex;
 
-use crate::config::ConflictPolicy;
 use crate::memory::LineId;
 use crate::slots::{DoomOutcome, Owner, TxTable};
-use crate::tx::Abort;
 use crate::util::IdMap;
 
 // A line word, from the top bit down: the lock bit, the spilled bit, then
@@ -171,11 +169,10 @@ impl Word {
 }
 
 /// A locked line's transactional readers (thread ids), in the order a
-/// `Vec` given the same pushes and removals would keep them
-/// (responder-wins blames the first live one). Up to [`INLINE_READERS`]
-/// come from the word's fields; one more moves them all to a `Vec`, which
-/// goes to the spill map at unlock and stays there until the line has no
-/// holder.
+/// `Vec` given the same pushes and removals would keep them. Up to
+/// [`INLINE_READERS`] come from the word's fields; one more moves them all
+/// to a `Vec`, which goes to the spill map at unlock and stays there until
+/// the line has no holder.
 #[derive(Debug)]
 enum Readers {
     Inline {
@@ -386,97 +383,60 @@ impl Directory {
         }
     }
 
-    /// Resolves a conflict between `me` and the holder `other`, per policy.
-    /// Returns `Ok(())` once the holder is out of the way (doomed, stale or
-    /// drained), `Err` if `me` must self-abort. Whichever side loses gets a
-    /// conflict-attribution note (line + winning peer) in its slot.
-    fn resolve_tx_conflict(
-        table: &TxTable,
-        policy: ConflictPolicy,
-        other: u32,
-        line: LineId,
-        me: Owner,
-    ) -> Result<(), Abort> {
-        let other = table.current(other);
-        match table.doom_or_classify(other, policy, line, me.tid) {
-            Ok(DoomOutcome::Dead) | Ok(DoomOutcome::Stale) => Ok(()),
-            Ok(DoomOutcome::Committing) => {
-                table.wait_while_committing(other);
-                Ok(())
-            }
-            Ok(DoomOutcome::Live) => unreachable!("resolved conflicts never stay live"),
-            Err(()) => {
-                // ResponderWins: `me` self-aborts; attribute to the holder.
-                table.note_doom(me, line, other.tid);
-                Err(Abort::Conflict)
-            }
+    /// Resolves a conflict on `line` between thread `requester` and the
+    /// transaction `holder` runs: the requester wins, so the holder is
+    /// doomed, with a conflict-attribution note naming `line` and
+    /// `requester`, unless it already committed or moved on. A holder
+    /// mid-commit is waited out. Returns once the holder is out of the way.
+    fn doom_holder(table: &TxTable, holder: u32, line: LineId, requester: u32) {
+        let holder = table.current(holder);
+        table.note_doom(holder, line, requester);
+        if table.doom(holder) == DoomOutcome::Committing {
+            table.wait_while_committing(holder);
         }
     }
 
-    /// Registers `me` as a transactional reader of `line`.
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`Abort::Conflict`] under `ResponderWins` when a live
-    /// writer holds the line.
-    pub(crate) fn acquire_read(
-        &self,
-        line: LineId,
-        me: Owner,
-        table: &TxTable,
-        policy: ConflictPolicy,
-    ) -> Result<(), Abort> {
+    /// Registers `me` as a transactional reader of `line`, dooming another
+    /// transaction that writes it.
+    pub(crate) fn acquire_read(&self, line: LineId, me: Owner, table: &TxTable) {
         if self.try_fast(line, |w| w.with_reader(me.tid)) {
-            return Ok(());
+            return;
         }
         let mut g = self.lock(line);
         if let Some(other) = g.writer {
             if other != me.tid {
-                Self::resolve_tx_conflict(table, policy, other, line, me)?;
+                Self::doom_holder(table, other, line, me.tid);
                 g.writer = None;
             }
         }
         debug_assert!(!g.readers.as_slice().contains(&me.tid));
         g.readers.push(me.tid);
-        Ok(())
     }
 
-    /// Registers `me` as the transactional writer of `line`, dooming (or
-    /// deferring to, per policy) any other holder.
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`Abort::Conflict`] under `ResponderWins` when another
-    /// live transaction holds the line.
-    pub(crate) fn acquire_write(
-        &self,
-        line: LineId,
-        me: Owner,
-        table: &TxTable,
-        policy: ConflictPolicy,
-    ) -> Result<(), Abort> {
+    /// Registers `me` as the transactional writer of `line`, dooming every
+    /// other holder.
+    pub(crate) fn acquire_write(&self, line: LineId, me: Owner, table: &TxTable) {
         if self.try_fast(line, |w| w.with_writer(me.tid)) {
-            return Ok(());
+            return;
         }
         let mut g = self.lock(line);
         if let Some(other) = g.writer {
             if other != me.tid {
-                Self::resolve_tx_conflict(table, policy, other, line, me)?;
+                Self::doom_holder(table, other, line, me.tid);
                 g.writer = None;
             }
         }
-        // Doom / defer to readers other than me.
+        // Doom the readers other than me.
         let mut i = 0;
         while let Some(&r) = g.readers.as_slice().get(i) {
             if r == me.tid {
                 i += 1;
                 continue;
             }
-            Self::resolve_tx_conflict(table, policy, r, line, me)?;
+            Self::doom_holder(table, r, line, me.tid);
             g.readers.swap_remove(i);
         }
         g.writer = Some(me.tid);
-        Ok(())
     }
 
     /// Performs an untracked access to `line`: resolves conflicts with
@@ -524,11 +484,7 @@ impl Directory {
         }
         let mut g = self.lock(line);
         if let Some(tid) = g.writer {
-            let other = table.current(tid);
-            table.note_doom(other, line, doomer);
-            if table.doom(other) == DoomOutcome::Committing {
-                table.wait_while_committing(other);
-            }
+            Self::doom_holder(table, tid, line, doomer);
             g.writer = None;
         }
         if kind == UntrackedKind::Write {
@@ -594,44 +550,6 @@ impl TxTable {
             epoch: crate::slots::epoch_of(self.load(tid)),
         }
     }
-
-    /// Policy-dispatching doom: under `RequesterWins` dooms the holder
-    /// (noting `line`/`requester` for attribution first); under
-    /// `ResponderWins` reports `Err(())` if the holder is live (the
-    /// requester must abort itself), and classifies otherwise.
-    fn doom_or_classify(
-        &self,
-        other: Owner,
-        policy: ConflictPolicy,
-        line: LineId,
-        requester: u32,
-    ) -> Result<DoomOutcome, ()> {
-        match policy {
-            ConflictPolicy::RequesterWins => {
-                self.note_doom(other, line, requester);
-                Ok(self.doom(other))
-            }
-            ConflictPolicy::ResponderWins => match self.classify(other) {
-                DoomOutcome::Live => Err(()),
-                other_state => Ok(other_state),
-            },
-        }
-    }
-
-    /// Non-destructive classification of `other`'s state.
-    pub(crate) fn classify(&self, other: Owner) -> DoomOutcome {
-        use crate::slots::{epoch_of, state_of, ST_ACTIVE, ST_COMMITTING, ST_DOOMED, ST_SUSPENDED};
-        let w = self.load(other.tid);
-        if epoch_of(w) != other.epoch {
-            return DoomOutcome::Stale;
-        }
-        match state_of(w) {
-            ST_COMMITTING => DoomOutcome::Committing,
-            ST_DOOMED => DoomOutcome::Dead,
-            ST_ACTIVE | ST_SUSPENDED => DoomOutcome::Live,
-            _ => DoomOutcome::Stale,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -649,10 +567,8 @@ mod tests {
         let line = LineId(7);
         table.begin(0, 1);
         table.begin(1, 1);
-        dir.acquire_read(line, owner(0, 1), &table, ConflictPolicy::RequesterWins)
-            .unwrap();
-        dir.acquire_read(line, owner(1, 1), &table, ConflictPolicy::RequesterWins)
-            .unwrap();
+        dir.acquire_read(line, owner(0, 1), &table);
+        dir.acquire_read(line, owner(1, 1), &table);
         assert!(!table.is_doomed(owner(0, 1)));
         assert!(!table.is_doomed(owner(1, 1)));
     }
@@ -664,26 +580,10 @@ mod tests {
         let line = LineId(3);
         table.begin(0, 1);
         table.begin(1, 1);
-        dir.acquire_read(line, owner(0, 1), &table, ConflictPolicy::RequesterWins)
-            .unwrap();
-        dir.acquire_write(line, owner(1, 1), &table, ConflictPolicy::RequesterWins)
-            .unwrap();
+        dir.acquire_read(line, owner(0, 1), &table);
+        dir.acquire_write(line, owner(1, 1), &table);
         assert!(table.is_doomed(owner(0, 1)));
         assert!(!table.is_doomed(owner(1, 1)));
-    }
-
-    #[test]
-    fn write_self_aborts_under_responder_wins() {
-        let dir = Directory::new(16);
-        let table = TxTable::new(4);
-        let line = LineId(3);
-        table.begin(0, 1);
-        table.begin(1, 1);
-        dir.acquire_read(line, owner(0, 1), &table, ConflictPolicy::ResponderWins)
-            .unwrap();
-        let res = dir.acquire_write(line, owner(1, 1), &table, ConflictPolicy::ResponderWins);
-        assert_eq!(res, Err(Abort::Conflict));
-        assert!(!table.is_doomed(owner(0, 1)), "holder survives");
     }
 
     #[test]
@@ -693,10 +593,8 @@ mod tests {
         let line = LineId(9);
         table.begin(0, 1);
         table.begin(1, 1);
-        dir.acquire_read(line, owner(0, 1), &table, ConflictPolicy::RequesterWins)
-            .unwrap();
-        dir.acquire_write(line, owner(1, 1), &table, ConflictPolicy::RequesterWins)
-            .unwrap();
+        dir.acquire_read(line, owner(0, 1), &table);
+        dir.acquire_write(line, owner(1, 1), &table);
         dir.untracked_access(line, UntrackedKind::Write, 3, &table);
         assert!(table.is_doomed(owner(0, 1)));
         assert!(table.is_doomed(owner(1, 1)));
@@ -708,8 +606,7 @@ mod tests {
         let table = TxTable::new(4);
         let line = LineId(2);
         table.begin(0, 1);
-        dir.acquire_write(line, owner(0, 1), &table, ConflictPolicy::RequesterWins)
-            .unwrap();
+        dir.acquire_write(line, owner(0, 1), &table);
         dir.untracked_access(line, UntrackedKind::Read, 3, &table);
         assert!(table.is_doomed(owner(0, 1)), "strong isolation dooms");
     }
@@ -720,8 +617,7 @@ mod tests {
         let table = TxTable::new(4);
         let line = LineId(4);
         table.begin(0, 1);
-        dir.acquire_read(line, owner(0, 1), &table, ConflictPolicy::RequesterWins)
-            .unwrap();
+        dir.acquire_read(line, owner(0, 1), &table);
         dir.untracked_access(line, UntrackedKind::Read, 3, &table);
         assert!(!table.is_doomed(owner(0, 1)));
     }
@@ -733,26 +629,10 @@ mod tests {
         let line = LineId(11);
         table.begin(0, 1);
         table.begin(1, 1);
-        dir.acquire_read(line, owner(0, 1), &table, ConflictPolicy::RequesterWins)
-            .unwrap();
-        dir.acquire_write(line, owner(1, 1), &table, ConflictPolicy::RequesterWins)
-            .unwrap();
+        dir.acquire_read(line, owner(0, 1), &table);
+        dir.acquire_write(line, owner(1, 1), &table);
         assert!(table.is_doomed(owner(0, 1)));
         assert_eq!(table.take_conflict(owner(0, 1)), Some((11, 1)));
-    }
-
-    #[test]
-    fn responder_wins_attributes_self_abort_to_holder() {
-        let dir = Directory::new(16);
-        let table = TxTable::new(4);
-        let line = LineId(3);
-        table.begin(0, 1);
-        table.begin(1, 1);
-        dir.acquire_read(line, owner(0, 1), &table, ConflictPolicy::ResponderWins)
-            .unwrap();
-        let res = dir.acquire_write(line, owner(1, 1), &table, ConflictPolicy::ResponderWins);
-        assert_eq!(res, Err(Abort::Conflict));
-        assert_eq!(table.take_conflict(owner(1, 1)), Some((3, 0)));
     }
 
     #[test]
@@ -761,8 +641,7 @@ mod tests {
         let table = TxTable::new(4);
         let line = LineId(9);
         table.begin(0, 1);
-        dir.acquire_write(line, owner(0, 1), &table, ConflictPolicy::RequesterWins)
-            .unwrap();
+        dir.acquire_write(line, owner(0, 1), &table);
         dir.untracked_access(line, UntrackedKind::Write, 2, &table);
         assert!(table.is_doomed(owner(0, 1)));
         assert_eq!(table.take_conflict(owner(0, 1)), Some((9, 2)));
@@ -775,10 +654,8 @@ mod tests {
         let r_line = LineId(1);
         let w_line = LineId(2);
         table.begin(0, 1);
-        dir.acquire_read(r_line, owner(0, 1), &table, ConflictPolicy::RequesterWins)
-            .unwrap();
-        dir.acquire_write(w_line, owner(0, 1), &table, ConflictPolicy::RequesterWins)
-            .unwrap();
+        dir.acquire_read(r_line, owner(0, 1), &table);
+        dir.acquire_write(w_line, owner(0, 1), &table);
         assert_eq!(dir.live_lines(), 2);
         dir.release(owner(0, 1), [r_line].iter(), [w_line].iter());
         assert_eq!(dir.live_lines(), 0);
@@ -791,10 +668,8 @@ mod tests {
         let line = LineId(6);
         table.begin(0, 1);
         let me = owner(0, 1);
-        dir.acquire_write(line, me, &table, ConflictPolicy::RequesterWins)
-            .unwrap();
-        dir.acquire_write(line, me, &table, ConflictPolicy::RequesterWins)
-            .unwrap();
+        dir.acquire_write(line, me, &table);
+        dir.acquire_write(line, me, &table);
         assert!(!table.is_doomed(me));
         assert_eq!(dir.live_lines(), 1);
     }
@@ -854,10 +729,8 @@ mod tests {
         let line = LineId(8);
         table.begin(0, 1);
         let me = owner(0, 1);
-        dir.acquire_read(line, me, &table, ConflictPolicy::RequesterWins)
-            .unwrap();
-        dir.acquire_write(line, me, &table, ConflictPolicy::RequesterWins)
-            .unwrap();
+        dir.acquire_read(line, me, &table);
+        dir.acquire_write(line, me, &table);
         assert!(
             !table.is_doomed(me),
             "upgrading own line never self-conflicts"
@@ -899,7 +772,6 @@ mod tests {
     fn word_is_zero_exactly_while_the_line_has_no_holder() {
         let dir = Directory::new(16);
         let table = TxTable::new(4);
-        let rw = ConflictPolicy::RequesterWins;
         let lines = [LineId(1), LineId(2), LineId(3), LineId(4)];
         let [read_line, write_line, upgraded, dead_writer_line] = lines;
         let check = |step: &str, expected: [(Option<u32>, &[u32]); 4]| {
@@ -917,24 +789,20 @@ mod tests {
 
         table.begin(0, 1);
         let t0 = owner(0, 1);
-        dir.acquire_read(read_line, t0, &table, rw).unwrap();
+        dir.acquire_read(read_line, t0, &table);
         check("acquire_read", [(None, &[0]), none, none, none]);
-        dir.acquire_write(write_line, t0, &table, rw).unwrap();
-        dir.acquire_read(upgraded, t0, &table, rw).unwrap();
-        dir.acquire_write(upgraded, t0, &table, rw).unwrap();
+        dir.acquire_write(write_line, t0, &table);
+        dir.acquire_read(upgraded, t0, &table);
+        dir.acquire_write(upgraded, t0, &table);
         let t0_holds = [(None, &[0][..]), (Some(0), &[]), (Some(0), &[0]), none];
         check("acquire_write and a same-transaction upgrade", t0_holds);
 
-        // A responder-wins loser leaves the live holder in place, and its
-        // release touches no other thread's registration.
+        // Releasing lines a transaction never got touches no other
+        // thread's registration.
         table.begin(1, 1);
         let t1 = owner(1, 1);
-        let lost = dir.acquire_write(write_line, t1, &table, ConflictPolicy::ResponderWins);
-        assert_eq!(lost, Err(Abort::Conflict));
-        assert!(!table.is_doomed(t0));
-        check("responder-wins self-abort", t0_holds);
         dir.release(t1, [read_line].iter(), [write_line, upgraded].iter());
-        check("release of lines the loser never got", t0_holds);
+        check("release of lines never acquired", t0_holds);
 
         // An untracked store drains t0 as both reader and writer of the
         // upgraded line.
@@ -948,7 +816,7 @@ mod tests {
         // An untracked read clears a dead writer and the word goes to 0.
         table.begin(2, 1);
         let t2 = owner(2, 1);
-        dir.acquire_write(dead_writer_line, t2, &table, rw).unwrap();
+        dir.acquire_write(dead_writer_line, t2, &table);
         let _ = table.doom(t2);
         dir.untracked_access(dead_writer_line, UntrackedKind::Read, 3, &table);
         check(
@@ -972,13 +840,13 @@ mod tests {
         const READERS: u32 = 4;
         assert!(READERS as usize > INLINE_READERS);
         let line = LineId(5);
-        let setup = |policy| {
+        let setup = || {
             let dir = Directory::new(16);
             let table = TxTable::new(8);
             let readers: Vec<Owner> = (0..READERS).map(|t| owner(t, 1)).collect();
             for &r in &readers {
                 table.begin(r.tid, 1);
-                dir.acquire_read(line, r, &table, policy).unwrap();
+                dir.acquire_read(line, r, &table);
             }
             assert_eq!(holders(&dir, line, "spill"), (None, vec![0, 1, 2, 3]));
             table.begin(READERS, 1);
@@ -992,10 +860,9 @@ mod tests {
             assert_eq!(holders(dir, line, "release"), (None, vec![]));
         };
 
-        // Requester-wins: the writer dooms all four and is named by each.
-        let (dir, table, readers, writer) = setup(ConflictPolicy::RequesterWins);
-        dir.acquire_write(line, writer, &table, ConflictPolicy::RequesterWins)
-            .unwrap();
+        // The writer dooms all four and is named by each.
+        let (dir, table, readers, writer) = setup();
+        dir.acquire_write(line, writer, &table);
         for &r in &readers {
             assert!(table.is_doomed(r), "reader {} survived", r.tid);
             assert_eq!(table.take_conflict(r), Some((line.0, writer.tid)));
@@ -1005,24 +872,14 @@ mod tests {
         assert_eq!(holders(&dir, line, "write"), (Some(writer.tid), vec![]));
         release_all(&dir, &readers, writer);
 
-        // Responder-wins: the writer walks past the dead readers and
-        // self-aborts on the one still live, the last to register.
-        let (dir, table, readers, writer) = setup(ConflictPolicy::ResponderWins);
-        let (dead, live) = readers.split_at(readers.len() - 1);
-        for &r in dead {
-            let _ = table.doom(r);
-        }
-        let res = dir.acquire_write(line, writer, &table, ConflictPolicy::ResponderWins);
-        assert_eq!(res, Err(Abort::Conflict));
-        assert!(!table.is_doomed(live[0]));
-        assert_eq!(table.take_conflict(writer), Some((line.0, live[0].tid)));
-        // Releases keep the remaining readers' order.
+        // A spilled reader's release keeps the remaining readers' order.
+        let (dir, _table, readers, writer) = setup();
         dir.release(readers[1], [line].iter(), [].iter());
-        assert_eq!(holders(&dir, line, "release"), (None, vec![3, 2]));
+        assert_eq!(holders(&dir, line, "release"), (None, vec![0, 2, 3]));
         release_all(&dir, &readers, writer);
 
         // An untracked store dooms all four too.
-        let (dir, table, readers, writer) = setup(ConflictPolicy::RequesterWins);
+        let (dir, table, readers, writer) = setup();
         dir.untracked_access(line, UntrackedKind::Write, 7, &table);
         for &r in &readers {
             assert!(table.is_doomed(r), "reader {} survived", r.tid);
@@ -1042,8 +899,7 @@ mod tests {
             assert!(locked(), "store to an unheld line");
         });
         table.begin(0, 1);
-        dir.acquire_read(line, owner(0, 1), &table, ConflictPolicy::RequesterWins)
-            .unwrap();
+        dir.acquire_read(line, owner(0, 1), &table);
         dir.untracked_op(line, UntrackedKind::Read, 3, &table, || {
             assert!(locked(), "load of a held line");
         });
@@ -1086,16 +942,15 @@ mod tests {
     fn fast_paths_wait_for_a_locked_word() {
         let dir = Directory::new(16);
         let table = TxTable::new(4);
-        let rw = ConflictPolicy::RequesterWins;
         let (line, other) = (LineId(2), LineId(3));
         table.begin(0, 1);
         table.begin(1, 1);
         let (t0, t1) = (owner(0, 1), owner(1, 1));
         assert_waits_for_the_lock(&dir, &table, line, UntrackedKind::Write, || {
-            dir.acquire_read(line, t0, &table, rw).unwrap();
+            dir.acquire_read(line, t0, &table);
         });
         assert_waits_for_the_lock(&dir, &table, other, UntrackedKind::Write, || {
-            dir.acquire_write(other, t1, &table, rw).unwrap();
+            dir.acquire_write(other, t1, &table);
         });
         assert_eq!(
             (holders(&dir, line, "read"), holders(&dir, other, "write")),

@@ -81,12 +81,12 @@ pub mod tx;
 mod util;
 
 pub use access::{AccessMode, Direct, MemAccess, Suspended};
-pub use config::{CapacityProfile, ConflictPolicy, HtmConfig, SchedulerKind};
+pub use config::{CapacityProfile, HtmConfig, SchedulerKind};
 pub use memory::{CellId, LineId, Region, SimMemory, CELLS_PER_LINE};
 pub use registry::SlotRegistry;
 pub use sched::{
     DecisionRecord, DetScheduler, OsScheduler, SchedulePolicy, SchedulePolicyKind, Scheduler,
-    SleepSetLite, YieldKind,
+    YieldKind,
 };
 pub use stats::ThreadStats;
 pub use tx::{Abort, ConflictInfo, Htm, ThreadCtx, Tx, TxKind, TxResult};

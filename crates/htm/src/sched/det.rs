@@ -74,13 +74,7 @@ impl DetState {
                     .min(self.scratch.len() - 1);
                 let chosen = self.scratch[i];
                 if self.scratch.len() > 1 {
-                    let mut runnable = 0u64;
-                    for &t in &self.scratch {
-                        if t < 64 {
-                            runnable |= 1 << t;
-                        }
-                    }
-                    self.decisions.push(DecisionRecord { chosen, runnable });
+                    self.decisions.push(DecisionRecord { chosen });
                 }
                 return Some(chosen);
             }
@@ -370,7 +364,6 @@ mod tests {
         let first = st.pick(PickReason::Start).unwrap();
         assert_eq!(st.decisions.len(), 1, "two runnable threads: a branch");
         assert_eq!(st.decisions[0].chosen, first);
-        assert_eq!(st.decisions[0].runnable, 0b11);
         st.threads[0] = Slot::Absent;
         st.pick(PickReason::Exit).unwrap();
         assert_eq!(st.decisions.len(), 1, "forced pick records nothing");

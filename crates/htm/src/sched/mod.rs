@@ -6,16 +6,16 @@
 //!
 //! Two implementations ship:
 //!
-//! * [`OsScheduler`] — free-running OS threads, exactly the pre-refactor
-//!   behaviour. Yield points are no-ops unless the (deprecated)
-//!   `sched_shake_prob` knob asks for seeded random perturbation, timed
-//!   waits spin on the wall clock, and `now()` is wall time.
+//! * [`OsScheduler`] — free-running OS threads. Yield points are no-ops
+//!   unless `sched_shake_prob` asks for seeded random perturbation (the
+//!   free-running torture matrix sets it), timed waits spin on the wall
+//!   clock, and `now()` is wall time.
 //! * [`DetScheduler`] — a fully serialized cooperative scheduler: exactly
 //!   one simulated thread runs at a time, the next runnable thread is
-//!   picked by a seeded PRNG at every yield point, and time is a virtual
-//!   counter advanced only by simulator events. The same
-//!   `(workload seed, config, schedule seed)` triple therefore produces a
-//!   byte-identical event trace on every run.
+//!   picked by a [`SchedulePolicy`] at every yield point (a seeded PRNG by
+//!   default), and time is a virtual counter advanced only by simulator
+//!   events. The same `(workload seed, config, policy)` triple therefore
+//!   produces a byte-identical event trace on every run.
 //!
 //! # Thread binding
 //!
@@ -39,7 +39,7 @@ pub use det::DetScheduler;
 pub use os::OsScheduler;
 pub use policy::{
     DecisionRecord, DelayBoundedPolicy, PickReason, RandomPolicy, ReplayPolicy, SchedulePolicy,
-    SchedulePolicyKind, SleepSetLite,
+    SchedulePolicyKind,
 };
 
 /// Why a yield point was reached. Schedulers may weight or filter decisions

@@ -6,12 +6,13 @@ use super::{Scheduler, YieldKind};
 use crate::clock;
 use crate::util::mix64;
 
-/// Today's execution model: threads are scheduled by the OS, the clock is
-/// wall time, and yield points are (near-)free.
+/// The free-running execution model: threads are scheduled by the OS, the
+/// clock is wall time, and yield points are (near-)free.
 ///
-/// The scheduler absorbs the legacy *schedule shake* hack: with probability
-/// `shake_prob`, a yield point injects a short seeded-random delay (an
-/// OS-thread yield or a bounded spin) to perturb the interleaving. The
+/// With probability `shake_prob` (`HtmConfig::sched_shake_prob`, which the
+/// free-running torture matrix sets), a yield point injects a short
+/// seeded-random delay (an OS-thread yield or a bounded spin) to perturb
+/// the interleaving, so each seed explores another interleaving family. The
 /// decision stream hashes `(seed, global event counter, tid)` — as
 /// deterministic as anything can be over real threads, where the counter
 /// order itself depends on OS scheduling.

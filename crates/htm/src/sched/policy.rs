@@ -13,23 +13,14 @@
 //! # Decision traces
 //!
 //! The scheduler records every *branch point* — a pick with two or more
-//! runnable threads — as a [`DecisionRecord`] (chosen tid + runnable-set
-//! bitmask). The sequence of records is the **decision trace**: together
-//! with the workload seed and configuration it pins the entire run, so a
+//! runnable threads — as a [`DecisionRecord`] (the chosen tid). The
+//! sequence of records is the **decision trace**: together with the
+//! workload seed and configuration it pins the entire run, so a
 //! decision trace is a stronger replay artifact than a schedule seed (it
 //! reproduces a schedule found by *any* policy, not just a PRNG stream).
 //! Forced picks (exactly one runnable thread) are not recorded: they carry
 //! no information, and skipping them keeps traces short and replay robust.
-//!
-//! # Sleep-set pruning (DPOR-lite)
-//!
-//! [`SleepSetLite`] prunes delay-bounded candidates that provably commute
-//! with an already-explored schedule: a delay that only swaps the order of
-//! two threads that never conflicted (per the HTM directory's conflict-line
-//! attribution) yields an equivalent interleaving and need not be run. See
-//! DESIGN.md §6e for the soundness argument and its deliberate limits.
 
-use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -53,23 +44,11 @@ pub enum PickReason {
     TimedWait,
 }
 
-/// One recorded branch point: which thread was chosen among which
-/// candidates.
+/// One recorded branch point: which thread was chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DecisionRecord {
     /// The tid the policy selected.
     pub chosen: u32,
-    /// Bitmask of runnable tids at this point (tids ≥ 64 are not
-    /// representable and are simply absent; deterministic torture runs use
-    /// far fewer threads).
-    pub runnable: u64,
-}
-
-impl DecisionRecord {
-    /// The runnable tids other than the chosen one, in ascending order.
-    pub fn alternatives(&self) -> impl Iterator<Item = u32> + '_ {
-        (0..64u32).filter(move |&t| self.runnable & (1 << t) != 0 && t != self.chosen)
-    }
 }
 
 /// A scheduling policy for [`super::DetScheduler`].
@@ -285,63 +264,6 @@ impl SchedulePolicyKind {
     }
 }
 
-/// Sleep-set-style pruning over delay-bounded candidates (DPOR-lite).
-///
-/// Seeded with the *observed conflict relation* of an executed run — the
-/// unordered thread pairs the HTM directory attributed at least one
-/// conflict to — it answers whether inserting a delay at a given branch
-/// point of that run can possibly produce a non-equivalent interleaving.
-/// A delay at a branch point only reorders the chosen thread against the
-/// alternatives; if none of those pairs ever conflicted, the two threads'
-/// adjacent steps commute and the delayed schedule is equivalent to one
-/// already explored, so the candidate is pruned.
-///
-/// This is deliberately *lite*: the conflict relation is per-run and
-/// per-thread-pair, not per-step, so the check is coarser than a full
-/// persistent/sleep-set DPOR. It errs on the side of exploring (any
-/// conflict between the pair anywhere in the run blocks pruning), which
-/// keeps it sound for bug *finding* under the explored policy family; the
-/// precise argument (and the gap to full DPOR) is written out in
-/// DESIGN.md §6e.
-#[derive(Debug, Default)]
-pub struct SleepSetLite {
-    conflicts: HashSet<(u32, u32)>,
-}
-
-impl SleepSetLite {
-    /// An empty pruner (no conflicts observed: everything commutes).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records an attributed conflict between two threads.
-    pub fn note_conflict(&mut self, a: u32, b: u32) {
-        if a != b {
-            self.conflicts.insert((a.min(b), a.max(b)));
-        }
-    }
-
-    /// Number of distinct conflicting pairs observed.
-    pub fn pairs(&self) -> usize {
-        self.conflicts.len()
-    }
-
-    /// Whether the two threads ever conflicted.
-    pub fn conflicted(&self, a: u32, b: u32) -> bool {
-        self.conflicts.contains(&(a.min(b), a.max(b)))
-    }
-
-    /// Whether delaying the parent run's branch point `record` can produce
-    /// a *non*-equivalent interleaving: true iff the chosen thread
-    /// conflicts with at least one alternative it would be reordered
-    /// against. `false` means the candidate may be pruned.
-    pub fn delay_can_matter(&self, record: &DecisionRecord) -> bool {
-        record
-            .alternatives()
-            .any(|t| self.conflicted(record.chosen, t))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -419,36 +341,6 @@ mod tests {
         assert_eq!(p.choose(&[0, 1], PickReason::Start), 0);
         let d = p.divergence().unwrap();
         assert!(d.contains("tid 5"), "{d}");
-    }
-
-    #[test]
-    fn sleep_set_prunes_only_non_conflicting_reorders() {
-        let mut s = SleepSetLite::new();
-        s.note_conflict(0, 1);
-        s.note_conflict(1, 1); // self-conflicts are ignored
-        assert_eq!(s.pairs(), 1);
-        let swaps_0_1 = DecisionRecord {
-            chosen: 0,
-            runnable: 0b11,
-        };
-        let swaps_0_2 = DecisionRecord {
-            chosen: 0,
-            runnable: 0b101,
-        };
-        assert!(s.delay_can_matter(&swaps_0_1), "0 and 1 conflicted");
-        assert!(
-            !s.delay_can_matter(&swaps_0_2),
-            "0 and 2 never conflicted: reordering them commutes"
-        );
-    }
-
-    #[test]
-    fn decision_record_alternatives() {
-        let r = DecisionRecord {
-            chosen: 1,
-            runnable: 0b1011,
-        };
-        assert_eq!(r.alternatives().collect::<Vec<_>>(), vec![0, 3]);
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub(crate) struct Owner {
     pub epoch: u64,
 }
 
-/// Result of a doom attempt (or non-destructive classification) of an owner.
+/// Result of a doom attempt on an owner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum DoomOutcome {
     /// The victim is now (or already was) `Doomed`.
@@ -63,9 +63,6 @@ pub(crate) enum DoomOutcome {
     /// The slot now belongs to a different epoch or is inactive/committed —
     /// the holder is done with the line; treat the line as unowned.
     Stale,
-    /// The owner is live (`Active`/`Suspended`). Only returned by
-    /// [`TxTable::classify`]; `doom` always resolves live owners to `Dead`.
-    Live,
 }
 
 // Doom-attribution sidecar packing: `|valid:1|epoch_lo:12|peer:19|line:32|`.

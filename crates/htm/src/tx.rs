@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use crate::access::{Direct, Suspended};
-use crate::config::{CapacityProfile, ConflictPolicy, HtmConfig, SchedulerKind};
+use crate::config::{CapacityProfile, HtmConfig, SchedulerKind};
 use crate::directory::Directory;
 use crate::memory::{CellId, LineId, SimMemory, CELLS_PER_LINE};
 use crate::registry::SlotRegistry;
@@ -116,10 +116,7 @@ impl Htm {
         let yields = cfg.scheduler != SchedulerKind::Os || cfg.sched_shake_prob > 0.0;
         let sched: Arc<dyn Scheduler> = match &cfg.scheduler {
             SchedulerKind::Os => Arc::new(OsScheduler::new(cfg.sched_shake_prob, cfg.seed)),
-            SchedulerKind::Deterministic { schedule_seed } => {
-                Arc::new(DetScheduler::new(*schedule_seed, cfg.max_threads))
-            }
-            SchedulerKind::DeterministicPolicy { policy } => {
+            SchedulerKind::Deterministic { policy } => {
                 Arc::new(DetScheduler::with_policy(policy.build(), cfg.max_threads))
             }
         };
@@ -166,7 +163,7 @@ impl Htm {
     /// drops. Under [`SchedulerKind::Deterministic`] registration is a
     /// start barrier: the call blocks until all
     /// [`HtmConfig::max_threads`] contexts have been claimed (from
-    /// distinct OS threads) and the seeded picker first selects this one.
+    /// distinct OS threads) and the schedule policy first selects this one.
     ///
     /// # Panics
     ///
@@ -460,10 +457,6 @@ impl Tx<'_> {
         &self.htm.cfg.capacity
     }
 
-    fn policy(&self) -> ConflictPolicy {
-        self.htm.cfg.conflict_policy
-    }
-
     /// The transaction flavour this handle runs under.
     pub fn kind(&self) -> TxKind {
         self.kind
@@ -488,7 +481,7 @@ impl Tx<'_> {
     ///
     /// # Errors
     ///
-    /// [`Abort::Conflict`] if doomed or (under `ResponderWins`) conflicting;
+    /// [`Abort::Conflict`] if doomed;
     /// [`Abort::CapacityRead`] on footprint overflow; [`Abort::Interrupt`]
     /// under failure injection.
     pub fn read(&mut self, cell: CellId) -> TxResult<u64> {
@@ -500,9 +493,7 @@ impl Tx<'_> {
         match self.kind {
             TxKind::Htm => {
                 if !self.fp.read_lines.contains(&line) && !self.fp.write_lines.contains(&line) {
-                    self.htm
-                        .dir
-                        .acquire_read(line, self.me, &self.htm.table, self.policy())?;
+                    self.htm.dir.acquire_read(line, self.me, &self.htm.table);
                     self.fp.read_lines.insert(line);
                     if self.fp.read_lines.len() > self.capacity().read_lines {
                         return Err(Abort::CapacityRead);
@@ -539,9 +530,7 @@ impl Tx<'_> {
         self.check_alive()?;
         let line = self.htm.mem.line_of(cell);
         if !self.fp.write_lines.contains(&line) {
-            self.htm
-                .dir
-                .acquire_write(line, self.me, &self.htm.table, self.policy())?;
+            self.htm.dir.acquire_write(line, self.me, &self.htm.table);
             self.fp.write_lines.insert(line);
             let cap = match self.kind {
                 TxKind::Htm => self.capacity().write_lines,
@@ -626,11 +615,10 @@ mod tests {
         for shake in [0.02, 0.05, 1.0] {
             assert!(yields(SchedulerKind::Os, shake), "shake {shake}");
         }
-        let det = SchedulerKind::Deterministic { schedule_seed: 1 };
-        assert!(yields(det, 0.0));
-        let policy = SchedulerKind::DeterministicPolicy {
-            policy: SchedulePolicyKind::Random { seed: 1 },
+        assert!(yields(SchedulerKind::deterministic(1), 0.0));
+        let delays = SchedulerKind::Deterministic {
+            policy: SchedulePolicyKind::DelayBounded { delays: vec![] },
         };
-        assert!(yields(policy, 0.0));
+        assert!(yields(delays, 0.0));
     }
 }

@@ -9,7 +9,7 @@ use htm_sim::{clock, Htm, HtmConfig, SchedulerKind, TxKind};
 fn det_cfg(threads: usize, schedule_seed: u64) -> HtmConfig {
     HtmConfig {
         max_threads: threads,
-        scheduler: SchedulerKind::Deterministic { schedule_seed },
+        scheduler: SchedulerKind::deterministic(schedule_seed),
         ..HtmConfig::default()
     }
 }

@@ -339,35 +339,6 @@ fn tx_tx_conflict_requester_wins() {
 }
 
 #[test]
-fn tx_tx_conflict_responder_wins_self_aborts() {
-    let htm = Htm::new(
-        HtmConfig {
-            capacity: CapacityProfile::UNBOUNDED,
-            conflict_policy: htm_sim::ConflictPolicy::ResponderWins,
-            max_threads: 4,
-            ..HtmConfig::default()
-        },
-        64,
-    );
-    let r = htm.memory().alloc(1);
-    let mut c0 = htm.thread(0);
-    let mut c1 = htm.thread(1);
-    c0.txn(TxKind::Htm, |tx| {
-        let _ = tx.read(r.cell(0))?;
-        let err = c1
-            .txn(TxKind::Htm, |tx1| {
-                tx1.write(r.cell(0), 3)?;
-                Ok(())
-            })
-            .unwrap_err();
-        assert_eq!(err, Abort::Conflict, "requester self-aborted");
-        Ok(())
-    })
-    .unwrap();
-    assert_eq!(htm.direct(0).load(r.cell(0)), 0, "responder survived");
-}
-
-#[test]
 fn thread_slots_are_exclusive_and_reusable() {
     let htm = htm_with(CapacityProfile::UNBOUNDED);
     let c0 = htm.thread(0);

@@ -7,7 +7,9 @@
 //! ```
 //!
 //! Exit status: 0 linearizable, 1 non-linearizable, 2 unknown
-//! (incomplete history or budget exhausted), 3 usage or extraction error.
+//! (incomplete history, budget exhausted, or no operations at all: a
+//! history that records nothing proves nothing), 3 usage or extraction
+//! error.
 //!
 //! `--mutate` corrupts the extracted history with one seeded mutation
 //! before checking — the documented way to watch the checker catch an
@@ -93,7 +95,11 @@ fn main() -> ExitCode {
             }
         }
     }
-    let verdict = check(&hist, &cfg);
+    let verdict = if hist.total_ops() == 0 {
+        Verdict::Unknown("the history has no operations to check".into())
+    } else {
+        check(&hist, &cfg)
+    };
     println!("{verdict}");
     match verdict {
         Verdict::Linearizable => ExitCode::SUCCESS,

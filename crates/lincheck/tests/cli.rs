@@ -1,7 +1,7 @@
 //! Exit-code contract of the `lincheck` binary. CI and the torture
 //! harness both branch on these codes, so they are pinned here:
-//! 0 = linearizable, 1 = non-linearizable, 2 = unknown (budget or
-//! incomplete history), 3 = usage/extraction error. In particular a
+//! 0 = linearizable, 1 = non-linearizable, 2 = unknown (budget,
+//! incomplete history, or no operations), 3 = usage/extraction error. In particular a
 //! budget-starved `Unknown` (2) must never be conflated with a real
 //! violation (1) — a gate that treats "any non-zero" as "bug found"
 //! would pass vacuously the day the budget is too small.
@@ -64,6 +64,22 @@ fn starved_budget_exits_two_not_one() {
         ]),
         2
     );
+}
+
+#[test]
+fn a_history_without_operations_exits_two() {
+    // Parses, but records nothing to check: not a pass.
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    let empty = dir.join("empty.trace.jsonl");
+    std::fs::write(&empty, "").unwrap();
+    assert_eq!(run(&[empty.to_str().unwrap()]), 2, "an empty file");
+    let meta_only = dir.join("meta-only.trace.jsonl");
+    std::fs::write(
+        &meta_only,
+        "{\"tid\":0,\"ev\":\"trace-meta\",\"dropped\":0}\n",
+    )
+    .unwrap();
+    assert_eq!(run(&[meta_only.to_str().unwrap()]), 2, "no lin-* marks");
 }
 
 #[test]

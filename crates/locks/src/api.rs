@@ -70,15 +70,6 @@ impl<'h> LockThread<'h> {
     pub fn tid(&self) -> usize {
         self.ctx.tid()
     }
-
-    /// Folds the trace buffer's loss counters into this thread's stats so
-    /// cross-thread [`SessionStats`] merges carry them alongside the
-    /// commit/abort tallies. Call once, at the end of the session, before
-    /// handing `stats` to the aggregator.
-    pub fn fold_trace_counters(&mut self) {
-        self.stats.trace_dropped += self.trace.dropped();
-        self.stats.trace_unsampled += self.trace.unsampled();
-    }
 }
 
 /// A read-write synchronization scheme: protects critical sections with

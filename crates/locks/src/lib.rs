@@ -39,8 +39,5 @@ pub use pthread_rw::PthreadRwLock;
 pub use rwle::RwLe;
 pub use sgl::{GlobalLock, VersionedLock, ABORT_LOCKED, ABORT_READER};
 pub use spin::SpinMutex;
-pub use stats::{
-    AbortCause, CommitMode, ConflictLine, ConflictTable, LatencyRecorder, Reservoir, Role,
-    SessionStats,
-};
+pub use stats::{AbortCause, CommitMode, LatencyRecorder, Reservoir, Role, SessionStats};
 pub use tle::Tle;

@@ -277,72 +277,8 @@ impl LatencyRecorder {
     }
 }
 
-/// One contended cache line's aggregate in a [`ConflictTable`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ConflictLine {
-    /// The cache line index (as attributed by the substrate).
-    pub line: u64,
-    /// How many conflict aborts were attributed to this line.
-    pub count: u64,
-    /// The peer thread id attributed most recently.
-    pub last_peer: u32,
-}
-
-/// Per-line conflict-abort aggregation: which cache lines this session's
-/// conflict aborts were attributed to, and by whom. The evaluation's
-/// "which line is hot" question, answered without a full trace.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct ConflictTable {
-    lines: std::collections::HashMap<u64, (u64, u32)>,
-}
-
-impl ConflictTable {
-    /// Records one attributed conflict abort.
-    pub fn record(&mut self, line: u64, peer: u32) {
-        let e = self.lines.entry(line).or_insert((0, peer));
-        e.0 += 1;
-        e.1 = peer;
-    }
-
-    /// The `k` most contended lines, most aborts first (ties by line index
-    /// for deterministic output).
-    pub fn top_k(&self, k: usize) -> Vec<ConflictLine> {
-        let mut v: Vec<ConflictLine> = self
-            .lines
-            .iter()
-            .map(|(&line, &(count, last_peer))| ConflictLine {
-                line,
-                count,
-                last_peer,
-            })
-            .collect();
-        v.sort_by(|a, b| b.count.cmp(&a.count).then(a.line.cmp(&b.line)));
-        v.truncate(k);
-        v
-    }
-
-    /// Total attributed conflict aborts.
-    pub fn total(&self) -> u64 {
-        self.lines.values().map(|&(c, _)| c).sum()
-    }
-
-    /// Whether any conflict has been attributed.
-    pub fn is_empty(&self) -> bool {
-        self.lines.is_empty()
-    }
-
-    /// Merges another table into this one (cross-thread aggregation).
-    pub fn merge(&mut self, other: &ConflictTable) {
-        for (&line, &(count, peer)) in &other.lines {
-            let e = self.lines.entry(line).or_insert((0, peer));
-            e.0 += count;
-        }
-    }
-}
-
 /// Per-thread statistics for one benchmark session: commit-mode breakdown
-/// per role, abort-cause breakdown, per-role latency, and per-line
-/// conflict attribution.
+/// per role, abort-cause breakdown, and per-role latency.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct SessionStats {
     reader_commits: [u64; 4],
@@ -352,14 +288,6 @@ pub struct SessionStats {
     pub reader_latency: LatencyRecorder,
     /// Writer critical-section latency (lock request → unlock).
     pub writer_latency: LatencyRecorder,
-    /// Which cache lines conflict aborts were attributed to.
-    pub conflict_lines: ConflictTable,
-    /// Trace events lost to ring-buffer wrap-around (see
-    /// `LockThread::fold_trace_counters`).
-    pub trace_dropped: u64,
-    /// Events suppressed by sampled tracing (not lost — deliberately
-    /// unrecorded; rescale with the capture's sampling metadata).
-    pub trace_unsampled: u64,
 }
 
 impl SessionStats {
@@ -380,12 +308,6 @@ impl SessionStats {
     /// Records one speculative abort.
     pub fn record_abort(&mut self, cause: AbortCause) {
         self.aborts[cause.index()] += 1;
-    }
-
-    /// Records the attribution of a conflict abort: the contended cache
-    /// line and the peer thread that won it.
-    pub fn record_conflict(&mut self, line: u64, peer: u32) {
-        self.conflict_lines.record(line, peer);
     }
 
     /// Commits of `mode` across both roles.
@@ -437,9 +359,6 @@ impl SessionStats {
         }
         self.reader_latency.merge(&other.reader_latency);
         self.writer_latency.merge(&other.writer_latency);
-        self.conflict_lines.merge(&other.conflict_lines);
-        self.trace_dropped += other.trace_dropped;
-        self.trace_unsampled += other.trace_unsampled;
     }
 }
 
@@ -619,41 +538,6 @@ mod tests {
         l.merge(&o);
         assert_eq!(l.reservoir.seen(), 5);
         assert_eq!(l.sampled_percentile_ns(100.0), 1_000);
-    }
-
-    #[test]
-    fn conflict_table_tracks_top_lines() {
-        let mut t = ConflictTable::default();
-        assert!(t.is_empty());
-        t.record(5, 1);
-        t.record(5, 2);
-        t.record(9, 0);
-        assert_eq!(t.total(), 3);
-        let top = t.top_k(2);
-        assert_eq!(top.len(), 2);
-        assert_eq!(top[0].line, 5);
-        assert_eq!(top[0].count, 2);
-        assert_eq!(top[0].last_peer, 2, "most recent peer wins");
-        assert_eq!(top[1].line, 9);
-
-        let mut u = ConflictTable::default();
-        u.record(9, 3);
-        u.record(9, 3);
-        t.merge(&u);
-        assert_eq!(t.top_k(1)[0].line, 9, "merge re-ranks");
-        assert_eq!(t.total(), 5);
-    }
-
-    #[test]
-    fn session_stats_surface_conflict_attribution() {
-        let mut s = SessionStats::default();
-        s.record_conflict(42, 7);
-        s.record_conflict(42, 7);
-        let mut o = SessionStats::default();
-        o.record_conflict(8, 1);
-        s.merge(&o);
-        assert_eq!(s.conflict_lines.total(), 3);
-        assert_eq!(s.conflict_lines.top_k(1)[0].line, 42);
     }
 
     #[test]

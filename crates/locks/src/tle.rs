@@ -59,9 +59,6 @@ impl Tle {
                 Err(abort) => {
                     t.stats
                         .record_abort(AbortCause::classify(abort, TxKind::Htm));
-                    if let Some(info) = t.ctx.last_conflict() {
-                        t.stats.record_conflict(info.line.index() as u64, info.peer);
-                    }
                     if !RetryPolicy::PAPER_DEFAULT.should_retry(attempts, abort) {
                         break;
                     }

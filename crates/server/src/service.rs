@@ -211,18 +211,18 @@ pub fn run_det(cfg: &ServerConfig) -> ServerRun {
     run_det_with(
         cfg,
         HtmConfig {
-            scheduler: SchedulerKind::Deterministic {
-                schedule_seed: cfg.schedule_seed,
-            },
+            scheduler: SchedulerKind::deterministic(cfg.schedule_seed),
             ..HtmConfig::default()
         },
     )
 }
 
 /// Like [`run_det`], but layered over a caller-supplied simulator
-/// configuration — fault model (capacity, conflict policy, interrupt
-/// injection, schedule shake) included. The thread count is overridden to
-/// the worker-pool size; the scheduler must already be deterministic.
+/// configuration — fault model (capacity, interrupt injection) and
+/// schedule policy included. The thread count is overridden to the
+/// worker-pool size; the scheduler must already be deterministic, and it
+/// replaces [`ServerConfig::schedule_seed`], which only [`run_det`]
+/// reads.
 ///
 /// # Panics
 ///
@@ -383,7 +383,6 @@ fn worker(
         service_op(gen.next_op(), cfg.shards, shards, &mut t, &mut st);
     }
     let v1 = clock::now();
-    t.fold_trace_counters();
     let trace = cfg.trace.is_on().then(|| t.trace.snapshot());
     WorkerOut {
         shard_stats: st.shard_stats,

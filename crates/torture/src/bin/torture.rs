@@ -11,9 +11,11 @@
 //! it does for the test suite.
 //!
 //! Bad input exits 2 with one line on stderr: a flag value that does not
-//! parse or is missing, `--threads 0` or `--ops 0`, a thread count
-//! `htm_sim::HtmConfig::validate` refuses (above 1023), or a `--filter`
-//! that matches no case (a run that checks nothing is not a pass).
+//! parse or is missing, a count of 0 (`--threads`, `--ops`, and under
+//! `explore` also `--budget` and `--random`), a thread count
+//! `htm_sim::HtmConfig::validate` refuses (above 1023), a `--filter` that
+//! matches no case (a run that checks nothing is not a pass), or an
+//! `explore --frontier` file that is not a frontier of this version.
 //!
 //! `--det` switches to the deterministic matrix (serialized scheduler,
 //! bit-exact replay); `--sched-seed S` pins the schedule seed for every
@@ -25,7 +27,7 @@
 //!
 //! ```text
 //! torture explore --inject-bug [--budget N] [--max-delays N] [--horizon N]
-//!                 [--no-dpor] [--frontier FILE] [--dump-dir DIR]
+//!                 [--frontier FILE] [--dump-dir DIR]
 //!                 [--seed S] [--threads N] [--ops N] [--expect-violation]
 //! torture explore --case SUBSTR ...        # explore a det-matrix case
 //! torture explore --random N ...           # random-draw comparison run
@@ -40,7 +42,7 @@
 //! code so the smoke test fails when the injected bug is *not* found.
 
 use sprwl_torture::explore::{
-    explore, explore_random, injected_bug_spec, replay_schedule, ExploreOptions,
+    explore_random, injected_bug_spec, replay_schedule, try_explore, ExploreOptions,
 };
 use sprwl_torture::{base_seed, default_matrix, det_matrix, run_case, TortureSpec};
 use sprwl_trace::schedule::ScheduleTrace;
@@ -64,19 +66,19 @@ fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
     )
 }
 
-/// A count flag (`--threads`, `--ops`): `default` when absent, and a usage
-/// error when 0, which would run nothing or cannot run at all.
-fn count_flag(args: &[String], flag: &str, default: usize) -> usize {
-    let n = parse_flag(args, flag).unwrap_or(default);
+/// A count flag (`--threads`, `--ops`, `--budget`, `--random`), if
+/// present. 0 is a usage error: it would run nothing or cannot run at all.
+fn count_flag(args: &[String], flag: &str) -> Option<usize> {
+    let n = parse_flag(args, flag)?;
     if n == 0 {
         usage_error(&format!("{flag} must be at least 1"));
     }
-    n
+    Some(n)
 }
 
 /// `--threads`: a count flag the simulator's config must also accept.
 fn threads_flag(args: &[String], default: usize) -> usize {
-    let n = count_flag(args, "--threads", default);
+    let n = count_flag(args, "--threads").unwrap_or(default);
     let cfg = htm_sim::HtmConfig {
         max_threads: n,
         ..htm_sim::HtmConfig::default()
@@ -107,7 +109,7 @@ fn explore_spec(args: &[String], threads: usize, ops: usize) -> TortureSpec {
 
 fn explore_main(args: &[String]) -> ! {
     let threads = threads_flag(args, 2);
-    let ops = count_flag(args, "--ops", 12);
+    let ops = count_flag(args, "--ops").unwrap_or(12);
     let seed: u64 = parse_flag(args, "--seed").unwrap_or_else(base_seed);
 
     if let Some(path) = parse_flag::<String>(args, "--replay-schedule") {
@@ -156,7 +158,7 @@ fn explore_main(args: &[String]) -> ! {
         }
     }
 
-    if let Some(budget) = parse_flag::<usize>(args, "--random") {
+    if let Some(budget) = count_flag(args, "--random") {
         let spec = explore_spec(args, threads, ops);
         let rep = explore_random(&spec, seed, budget);
         println!(
@@ -171,22 +173,21 @@ fn explore_main(args: &[String]) -> ! {
     }
 
     let spec = explore_spec(args, threads, ops);
+    let d = ExploreOptions::default();
     let opts = ExploreOptions {
-        budget: parse_flag(args, "--budget").unwrap_or(256),
-        max_delays: parse_flag(args, "--max-delays").unwrap_or(2),
-        horizon: parse_flag(args, "--horizon").unwrap_or(64),
-        dpor: !args.iter().any(|a| a == "--no-dpor"),
+        budget: count_flag(args, "--budget").unwrap_or(d.budget),
+        max_delays: parse_flag(args, "--max-delays").unwrap_or(d.max_delays),
+        horizon: parse_flag(args, "--horizon").unwrap_or(d.horizon),
         frontier: parse_flag::<String>(args, "--frontier").map(Into::into),
         dump_dir: parse_flag::<String>(args, "--dump-dir").map(Into::into),
     };
     let t = std::time::Instant::now();
-    let report = explore(&spec, seed, &opts);
+    let report = try_explore(&spec, seed, &opts).unwrap_or_else(|e| usage_error(&e));
     println!(
-        "explore: case {} seed {seed:#x}: {} schedule(s), {} distinct behaviour(s), {} pruned{}, {:.1}ms",
+        "explore: case {} seed {seed:#x}: {} schedule(s), {} distinct behaviour(s){}, {:.1}ms",
         report.case,
         report.schedules_run,
         report.distinct_behaviors,
-        report.pruned,
         if report.resumed { ", resumed" } else { "" },
         t.elapsed().as_secs_f64() * 1e3,
     );
@@ -219,7 +220,7 @@ fn main() {
         explore_main(&args[1..]);
     }
     let threads = threads_flag(&args, 4);
-    let ops = count_flag(&args, "--ops", 250);
+    let ops = count_flag(&args, "--ops").unwrap_or(250);
     let seed: u64 = parse_flag(&args, "--seed").unwrap_or_else(base_seed);
     let filter: Option<String> = parse_flag(&args, "--filter");
     let det = args.iter().any(|a| a == "--det");

@@ -6,10 +6,8 @@
 //! forced preemptions, for growing `d`), runs every candidate through the
 //! ordinary torture pipeline ([`crate::run_case_artifacts`]: oracle +
 //! lincheck verdicts), deduplicates candidates by *behaviour fingerprint*
-//! (what happened, with virtual-clock noise normalized away), prunes
-//! candidates that provably commute with an explored schedule using the
-//! HTM directory's conflict attribution (sleep-set DPOR-lite), and
-//! persists its frontier so a search can resume where it stopped.
+//! (what happened, with virtual-clock noise normalized away), and persists
+//! its frontier so a search can resume where it stopped.
 //!
 //! On a violation it emits the scheduler's recorded **decision trace** as
 //! a schedule file ([`sprwl_trace::schedule::ScheduleTrace`]): the exact
@@ -21,9 +19,8 @@ use std::collections::{HashSet, VecDeque};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-use htm_sim::{SchedulePolicyKind, SchedulerKind, SleepSetLite};
+use htm_sim::{SchedulePolicyKind, SchedulerKind};
 use sprwl_trace::schedule::{behavior_fingerprint, Fingerprint, ScheduleTrace};
-use sprwl_trace::{EventKind, NO_PEER};
 
 use crate::{
     fnv1a, mix64, write_postmortem, CaseArtifacts, LockKind, TortureSpec, Violation, Workload,
@@ -40,9 +37,6 @@ pub struct ExploreOptions {
     /// Delays are only inserted at branch points before this index —
     /// bounds the fan-out on long runs.
     pub horizon: usize,
-    /// Sleep-set pruning of provably-commuting candidates (on by default;
-    /// turn off to measure how much it saves).
-    pub dpor: bool,
     /// Persist/resume the search frontier at this path.
     pub frontier: Option<PathBuf>,
     /// Where to write the violating schedule file (`TORTURE_DUMP_DIR`,
@@ -53,10 +47,9 @@ pub struct ExploreOptions {
 impl Default for ExploreOptions {
     fn default() -> Self {
         Self {
-            budget: 64,
+            budget: 256,
             max_delays: 2,
-            horizon: 48,
-            dpor: true,
+            horizon: 64,
             frontier: None,
             dump_dir: None,
         }
@@ -84,8 +77,6 @@ pub struct ExploreReport {
     pub schedules_run: usize,
     /// Distinct behaviour fingerprints observed.
     pub distinct_behaviors: usize,
-    /// Candidates pruned as provably equivalent (sleep-set).
-    pub pruned: usize,
     /// Whether the frontier was resumed from disk.
     pub resumed: bool,
     /// The first violation found, if any.
@@ -126,8 +117,10 @@ struct Frontier {
     done: HashSet<Vec<u64>>,
     behaviors: HashSet<u64>,
     schedules_run: usize,
-    pruned: usize,
 }
+
+/// The first line of a frontier file, before the case name.
+const FRONTIER_MAGIC: &str = "# sprwl-frontier v2 case=";
 
 fn delays_to_str(d: &[u64]) -> String {
     if d.is_empty() {
@@ -151,10 +144,7 @@ fn delays_from_str(s: &str) -> Result<Vec<u64>, String> {
 
 impl Frontier {
     fn to_text(&self, case: &str) -> String {
-        let mut out = format!(
-            "# sprwl-frontier v1 case={case}\n# run={} pruned={}\n",
-            self.schedules_run, self.pruned
-        );
+        let mut out = format!("{FRONTIER_MAGIC}{case}\n# run={}\n", self.schedules_run);
         for b in &self.behaviors {
             let _ = writeln!(out, "b {b:016x}");
         }
@@ -171,8 +161,8 @@ impl Frontier {
         let mut lines = text.lines();
         let first = lines.next().ok_or("empty frontier file")?;
         let got_case = first
-            .strip_prefix("# sprwl-frontier v1 case=")
-            .ok_or_else(|| format!("bad frontier magic: {first:?}"))?;
+            .strip_prefix(FRONTIER_MAGIC)
+            .ok_or_else(|| format!("first line {first:?} is not {FRONTIER_MAGIC:?}<case>"))?;
         if got_case != case {
             return Err(format!(
                 "frontier belongs to case {got_case:?}, not {case:?}"
@@ -180,14 +170,8 @@ impl Frontier {
         }
         let mut f = Frontier::default();
         for line in lines {
-            if let Some(rest) = line.strip_prefix("# run=") {
-                if let Some((run, pruned)) = rest.split_once(" pruned=") {
-                    f.schedules_run = run.trim().parse().map_err(|e| format!("bad run: {e}"))?;
-                    f.pruned = pruned
-                        .trim()
-                        .parse()
-                        .map_err(|e| format!("bad pruned: {e}"))?;
-                }
+            if let Some(run) = line.strip_prefix("# run=") {
+                f.schedules_run = run.trim().parse().map_err(|e| format!("bad run: {e}"))?;
             } else if let Some(rest) = line.strip_prefix("b ") {
                 f.behaviors.insert(
                     u64::from_str_radix(rest.trim(), 16)
@@ -220,25 +204,10 @@ fn artifacts_fingerprint(art: &CaseArtifacts) -> u64 {
     fp.finish()
 }
 
-/// Folds every conflict the HTM directory attributed in this run into the
-/// sleep set: a `TxAbort` with a known peer means the aborting thread and
-/// the peer touched the same line, in at least one order, for real.
-fn note_conflicts(sleep: &mut SleepSetLite, art: &CaseArtifacts) {
-    for t in &art.traces {
-        for e in &t.events {
-            if let EventKind::TxAbort { peer, .. } = e.kind {
-                if peer != NO_PEER {
-                    sleep.note_conflict(t.tid, peer);
-                }
-            }
-        }
-    }
-}
-
 /// Runs one delay-vector candidate through the standard torture pipeline.
 fn run_candidate(spec: &TortureSpec, base_seed: u64, delays: &[u64]) -> CaseArtifacts {
     let mut spec = spec.clone();
-    spec.htm.scheduler = SchedulerKind::DeterministicPolicy {
+    spec.htm.scheduler = SchedulerKind::Deterministic {
         policy: SchedulePolicyKind::DelayBounded {
             delays: delays.to_vec(),
         },
@@ -285,22 +254,35 @@ fn write_schedule_file(
 ///
 /// Candidates are explored breadth-first over delay vectors (so all of
 /// `d = 0`, then `d = 1`, …): each executed schedule spawns children that
-/// add one delay at a branch point at or after its last delay (keeping
-/// vectors sorted kills permutation duplicates). With `dpor` on, a child
-/// whose new delay reorders threads that never conflicted in any observed
-/// run is pruned as provably equivalent.
+/// add one delay at a branch point after its last delay (keeping vectors
+/// sorted kills permutation duplicates).
 ///
 /// # Panics
 ///
-/// Panics on harness misconfiguration (invalid spec), never on lock bugs.
+/// Panics on harness misconfiguration (invalid spec), never on lock bugs,
+/// and on a frontier file [`try_explore`] refuses.
 pub fn explore(spec: &TortureSpec, base_seed: u64, opts: &ExploreOptions) -> ExploreReport {
-    let mut sleep = SleepSetLite::new();
+    try_explore(spec, base_seed, opts).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`explore`], with a frontier file that cannot be resumed reported
+/// instead of panicking.
+///
+/// # Errors
+///
+/// Describes an `opts.frontier` file that exists but is not a frontier
+/// of this format version, or belongs to another case.
+pub fn try_explore(
+    spec: &TortureSpec,
+    base_seed: u64,
+    opts: &ExploreOptions,
+) -> Result<ExploreReport, String> {
     let mut frontier = Frontier::default();
     let mut resumed = false;
     if let Some(path) = &opts.frontier {
         if let Ok(text) = std::fs::read_to_string(path) {
             frontier = Frontier::from_text(&text, &spec.name)
-                .unwrap_or_else(|e| panic!("cannot resume frontier {}: {e}", path.display()));
+                .map_err(|e| format!("cannot resume frontier {}: {e}", path.display()))?;
             resumed = true;
         }
     }
@@ -321,7 +303,6 @@ pub fn explore(spec: &TortureSpec, base_seed: u64, opts: &ExploreOptions) -> Exp
         frontier.schedules_run += 1;
         frontier.done.insert(delays.clone());
         frontier.behaviors.insert(artifacts_fingerprint(&art));
-        note_conflicts(&mut sleep, &art);
 
         if let Err(detail) = &art.outcome {
             let mut v = Violation {
@@ -364,28 +345,9 @@ pub fn explore(spec: &TortureSpec, base_seed: u64, opts: &ExploreOptions) -> Exp
             for p in first..limit {
                 let mut child = delays.clone();
                 child.push(p);
-                if frontier.enqueued.contains(&child) {
-                    continue;
+                if frontier.enqueued.insert(child.clone()) {
+                    frontier.queue.push_back(child);
                 }
-                // Sleep-set pruning, deliberately scoped: the conflict
-                // relation is built from abort *attribution*, which is
-                // incomplete — uninstrumented readers leave no abort
-                // trace, and the serial baseline has no overlaps at all.
-                // So first delays are never pruned (they are how
-                // conflicts get discovered), and deeper delays are pruned
-                // only once positive conflict evidence exists and the
-                // reordered threads are not part of it. `--no-dpor`
-                // disables even that (see DESIGN.md §6e on soundness).
-                if opts.dpor && !delays.is_empty() && sleep.pairs() > 0 {
-                    if let Some(rec) = art.schedule.get(p as usize) {
-                        if !sleep.delay_can_matter(rec) {
-                            frontier.pruned += 1;
-                            continue;
-                        }
-                    }
-                }
-                frontier.enqueued.insert(child.clone());
-                frontier.queue.push_back(child);
             }
         }
     }
@@ -399,14 +361,13 @@ pub fn explore(spec: &TortureSpec, base_seed: u64, opts: &ExploreOptions) -> Exp
         }
     }
 
-    ExploreReport {
+    Ok(ExploreReport {
         case: spec.name.clone(),
         schedules_run: frontier.schedules_run,
         distinct_behaviors: frontier.behaviors.len(),
-        pruned: frontier.pruned,
         resumed,
         violation,
-    }
+    })
 }
 
 /// The comparison baseline: `budget` schedules drawn from random schedule
@@ -419,9 +380,7 @@ pub fn explore_random(spec: &TortureSpec, base_seed: u64, budget: usize) -> Rand
     for i in 0..budget {
         let seed = mix64(base_seed ^ fnv1a(&spec.name) ^ (0xD1CE + i as u64));
         let mut spec2 = spec.clone();
-        spec2.htm.scheduler = SchedulerKind::Deterministic {
-            schedule_seed: seed,
-        };
+        spec2.htm.scheduler = SchedulerKind::deterministic(seed);
         let art = crate::run_case_artifacts(&spec2, base_seed);
         schedules_run += 1;
         behaviors.insert(artifacts_fingerprint(&art));
@@ -488,7 +447,7 @@ pub fn replay_schedule(
     };
 
     let mut spec2 = spec.clone();
-    spec2.htm.scheduler = SchedulerKind::DeterministicPolicy {
+    spec2.htm.scheduler = SchedulerKind::Deterministic {
         policy: SchedulePolicyKind::Replay {
             decisions: st.decisions.clone().into(),
         },
@@ -568,7 +527,7 @@ pub fn injected_bug_spec(threads: usize, ops_per_thread: usize) -> TortureSpec {
         name: "explore-injected-reader-bug".into(),
         lock: LockKind::Sprwl(cfg),
         htm: htm_sim::HtmConfig {
-            scheduler: SchedulerKind::Deterministic { schedule_seed: 0 },
+            scheduler: SchedulerKind::deterministic(0),
             sched_shake_prob: 0.0,
             ..htm_sim::HtmConfig::default()
         },
@@ -600,16 +559,16 @@ mod tests {
         f.done.insert(vec![7]);
         f.behaviors.insert(0xDEAD_BEEF);
         f.schedules_run = 3;
-        f.pruned = 2;
         let text = f.to_text("case-x");
         let back = Frontier::from_text(&text, "case-x").unwrap();
         assert_eq!(back.schedules_run, 3);
-        assert_eq!(back.pruned, 2);
         assert_eq!(back.behaviors, f.behaviors);
         assert_eq!(back.done, f.done);
         assert_eq!(back.enqueued, f.enqueued);
         assert_eq!(back.queue.len(), 2);
         assert!(Frontier::from_text(&text, "other-case").is_err());
+        let v1 = "# sprwl-frontier v1 case=case-x\n# run=3 pruned=2\n";
+        assert!(Frontier::from_text(v1, "case-x").is_err(), "v1 is refused");
     }
 
     #[test]

@@ -77,7 +77,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use htm_sim::clock::SpinWait;
-use htm_sim::{Htm, HtmConfig, SchedulerKind, CELLS_PER_LINE};
+use htm_sim::{Htm, HtmConfig, SchedulePolicyKind, SchedulerKind, CELLS_PER_LINE};
 use sprwl::{ReaderHtm, SprwlConfig};
 use sprwl_lincheck::{check, labels, CheckConfig, History, Verdict};
 use sprwl_locks::{CommitMode, LockThread, Role, RwSync, SectionId, SessionStats};
@@ -714,22 +714,24 @@ fn resolve_case(spec: &TortureSpec, base_seed: u64) -> (HtmConfig, u64, Option<u
     cfg.max_threads = spec.threads;
     cfg.seed = case_seed;
     let sched_seed = match &cfg.scheduler {
-        SchedulerKind::Deterministic { schedule_seed } => {
+        SchedulerKind::Deterministic {
+            policy: SchedulePolicyKind::Random { seed },
+        } => {
             // Priority: env override > a nonzero seed pinned in the spec >
             // per-case derivation. The matrices leave the spec seed at 0 so
             // every case explores its own interleaving family per base seed.
-            let s = sched_seed_override().unwrap_or(if *schedule_seed != 0 {
-                *schedule_seed
+            let s = sched_seed_override().unwrap_or(if *seed != 0 {
+                *seed
             } else {
                 derived_sched_seed(case_seed)
             });
-            cfg.scheduler = SchedulerKind::Deterministic { schedule_seed: s };
+            cfg.scheduler = SchedulerKind::deterministic(s);
             Some(s)
         }
-        // Policy-driven schedules (the explorer) are deterministic but not
-        // seed-addressed: their replay artifact is the decision trace.
-        SchedulerKind::DeterministicPolicy { .. } => None,
-        SchedulerKind::Os => None,
+        // The explorer's delay-bounded and replay schedules are
+        // deterministic but not seed-addressed: their replay artifact is
+        // the decision trace.
+        SchedulerKind::Deterministic { .. } | SchedulerKind::Os => None,
     };
     (cfg, case_seed, sched_seed)
 }
@@ -803,7 +805,9 @@ fn execute_mirror(
 }
 
 /// Sharded-KV service execution: drives the entire `sprwl-server` stack
-/// under this case's fault model and resolved schedule seed, then maps
+/// under this case's fault model and deterministic scheduler (a resolved
+/// schedule seed, or the explorer's delay-bounded or replay policy; the
+/// service parks futures on scheduler yield points), then maps
 /// the run onto the oracle's shape. Shard `p` plays mirror pair `p`:
 /// `pairs_final[p]` holds the shard's final counter sum on both sides and
 /// each worker's `incr[p]` its committed increments routed there, so a
@@ -818,13 +822,6 @@ fn execute_server(spec: &TortureSpec, htm_cfg: &HtmConfig, case_seed: u64) -> Ca
             spec.name
         );
     };
-    let SchedulerKind::Deterministic { schedule_seed } = htm_cfg.scheduler else {
-        panic!(
-            "server-kv torture case `{}` is deterministic-only (the service parks \
-             futures on scheduler yield points)",
-            spec.name
-        );
-    };
     // Mirror `write_pct` onto the redis mix: the non-GET share splits
     // 3:1 between single-key SETs and multi-key MSETs.
     let write_pct = spec.write_pct.min(90);
@@ -834,7 +831,9 @@ fn execute_server(spec: &TortureSpec, htm_cfg: &HtmConfig, case_seed: u64) -> Ca
         warmup_ops: 8,
         ops_per_worker: spec.ops_per_thread,
         seed: case_seed,
-        schedule_seed,
+        // Unread: `run_det_with` runs `htm_cfg`'s scheduler, whichever
+        // policy picks its threads.
+        schedule_seed: 0,
         spec: RedisSpec {
             keyspace: spec.pairs as u64 * 64,
             get_pct: 100 - write_pct,
@@ -1225,14 +1224,14 @@ pub fn sprwl_matrix_configs() -> Vec<(String, SprwlConfig)> {
 
 /// The default torture matrix: every SpRWL acceptance variant at full
 /// depth, the §3.3 versioned-SGL variant, every baseline lock, and the
-/// fault-axis sweeps (interrupts, tiny capacity, responder-wins conflicts,
-/// schedule shake).
+/// fault-axis sweeps (interrupts, tiny and POWER8 capacity, schedule
+/// shake).
 ///
 /// `ops_per_thread` scales the whole matrix; with `threads = 4`,
 /// `ops_per_thread = 250` gives the 1000-iteration acceptance floor per
 /// lock configuration.
 pub fn default_matrix(threads: usize, ops_per_thread: usize) -> Vec<TortureSpec> {
-    use htm_sim::{CapacityProfile, ConflictPolicy};
+    use htm_sim::CapacityProfile;
 
     let base = |name: &str, lock: LockKind, htm: HtmConfig| TortureSpec {
         name: name.to_owned(),
@@ -1365,14 +1364,6 @@ pub fn default_matrix(threads: usize, ops_per_thread: usize) -> Vec<TortureSpec>
         },
     ));
     m.push(base(
-        "sprwl-full-responder-wins",
-        LockKind::Sprwl(SprwlConfig::default()),
-        HtmConfig {
-            conflict_policy: ConflictPolicy::ResponderWins,
-            ..shaken.clone()
-        },
-    ));
-    m.push(base(
         "sprwl-full-power8",
         LockKind::Sprwl(SprwlConfig::default()),
         HtmConfig {
@@ -1437,7 +1428,7 @@ pub fn det_matrix(threads: usize, ops_per_thread: usize) -> Vec<TortureSpec> {
     use htm_sim::CapacityProfile;
 
     let det = HtmConfig {
-        scheduler: SchedulerKind::Deterministic { schedule_seed: 0 },
+        scheduler: SchedulerKind::deterministic(0),
         sched_shake_prob: 0.0,
         ..HtmConfig::default()
     };

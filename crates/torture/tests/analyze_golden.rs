@@ -34,9 +34,7 @@ fn hot_key_spec() -> TortureSpec {
         name: "det-golden-hot-key".into(),
         lock: LockKind::Sprwl(SprwlConfig::default()),
         htm: HtmConfig {
-            scheduler: SchedulerKind::Deterministic {
-                schedule_seed: 0x4807_5EED,
-            },
+            scheduler: SchedulerKind::deterministic(0x4807_5EED),
             ..HtmConfig::default()
         },
         threads: 2,

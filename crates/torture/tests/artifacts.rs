@@ -43,9 +43,7 @@ fn small_det_spec() -> TortureSpec {
         name: "artifacts-smoke".into(),
         lock: LockKind::Sprwl(SprwlConfig::default()),
         htm: HtmConfig {
-            scheduler: SchedulerKind::Deterministic {
-                schedule_seed: 0xA7F1,
-            },
+            scheduler: SchedulerKind::deterministic(0xA7F1),
             ..HtmConfig::default()
         },
         threads: 2,

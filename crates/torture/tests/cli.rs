@@ -2,7 +2,11 @@
 //! stderr and exit 2 — never a panic (101), and never a vacuous exit 0 from
 //! a run that checked nothing.
 
+use std::path::PathBuf;
 use std::process::{Command, Output};
+
+use sprwl_torture::det_matrix;
+use sprwl_torture::explore::{explore, ExploreOptions};
 
 fn torture(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_torture"))
@@ -50,6 +54,82 @@ fn zero_threads_or_ops_exit_2() {
     assert_usage_error(&["--ops", "0"], "--ops must be at least 1");
     assert_usage_error(&["--det", "--ops", "0"], "--ops must be at least 1");
     assert_usage_error(&["explore", "--inject-bug", "--threads", "0"], "--threads");
+}
+
+#[test]
+fn explore_budgets_of_zero_exit_2() {
+    assert_usage_error(
+        &["explore", "--case", "det-tle", "--budget", "0"],
+        "--budget must be at least 1",
+    );
+    assert_usage_error(
+        &["explore", "--case", "det-tle", "--random", "0"],
+        "--random must be at least 1",
+    );
+}
+
+/// A file under the test target's scratch directory holding `text`.
+fn scratch_file(name: &str, text: &str) -> PathBuf {
+    let path = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
+    std::fs::write(&path, text).expect("write the scratch file");
+    path
+}
+
+#[test]
+fn a_frontier_file_of_another_format_exits_2() {
+    let garbage = scratch_file("garbage.frontier", "not a frontier\n");
+    let v1 = scratch_file(
+        "v1.frontier",
+        "# sprwl-frontier v1 case=det-tle\n# run=3 pruned=2\nq -\n",
+    );
+    for path in [garbage, v1] {
+        let path = path.to_str().expect("utf-8 path");
+        let args = ["explore", "--case", "det-tle", "--frontier", path];
+        assert_usage_error(&args, "cannot resume frontier");
+        assert_usage_error(&args, "is not \"# sprwl-frontier v2 case=\"");
+    }
+}
+
+/// The `N schedule(s), M distinct behaviour(s)` counts of an `explore`
+/// summary line.
+fn explore_counts(stdout: &str) -> (usize, usize) {
+    let line = stdout
+        .lines()
+        .find(|l| l.starts_with("explore: "))
+        .unwrap_or_else(|| panic!("no summary line in {stdout:?}"));
+    let count = |unit: &str| -> usize {
+        let head = &line[..line.find(unit).unwrap_or_else(|| panic!("{line}"))];
+        let n = head.rsplit(' ').next().expect("a count before the unit");
+        n.parse().unwrap_or_else(|_| panic!("{line}"))
+    };
+    (count(" schedule(s)"), count(" distinct behaviour(s)"))
+}
+
+#[test]
+fn explore_flags_left_unset_take_the_library_defaults() {
+    let out = torture(&[
+        "explore",
+        "--case",
+        "det-tle",
+        "--threads",
+        "2",
+        "--ops",
+        "3",
+        "--seed",
+        "7",
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    let spec = det_matrix(2, 3)
+        .into_iter()
+        .find(|s| s.name.contains("det-tle"))
+        .expect("a det-tle case");
+    let lib = explore(&spec, 7, &ExploreOptions::default());
+    assert_eq!(
+        explore_counts(&stdout),
+        (lib.schedules_run, lib.distinct_behaviors),
+        "{stdout}"
+    );
 }
 
 #[test]

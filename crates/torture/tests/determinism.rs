@@ -101,7 +101,7 @@ fn pinned_spec(schedule_seed: u64) -> TortureSpec {
         name: "det-pinned".into(),
         lock: LockKind::Sprwl(SprwlConfig::default()),
         htm: HtmConfig {
-            scheduler: SchedulerKind::Deterministic { schedule_seed },
+            scheduler: SchedulerKind::deterministic(schedule_seed),
             ..HtmConfig::default()
         },
         threads: 3,

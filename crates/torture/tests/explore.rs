@@ -1,12 +1,13 @@
 //! End-to-end tests of the schedule-space explorer: the injected
 //! ordering bug is found within a bounded frontier, the emitted decision
-//! trace replays bit-exactly, the frontier resumes, and delay bounding
-//! beats an equal budget of random schedule draws on behaviour coverage.
+//! trace replays bit-exactly, the frontier resumes, delay bounding beats
+//! an equal budget of random schedule draws on behaviour coverage, and
+//! the sharded-KV service runs under delay-bounded schedules too.
 
 use sprwl_torture::explore::{
     explore, explore_random, injected_bug_spec, replay_schedule, ExploreOptions,
 };
-use sprwl_torture::LockKind;
+use sprwl_torture::{det_matrix, LockKind};
 use sprwl_trace::schedule::ScheduleTrace;
 
 const BASE_SEED: u64 = 0xE1;
@@ -163,4 +164,26 @@ fn delay_bounding_beats_random_draws_on_behaviour_coverage() {
         rnd.distinct_behaviors,
         det.schedules_run
     );
+}
+
+#[test]
+fn explorer_drives_the_sharded_kv_service() {
+    // The service parks its futures on scheduler yield points, so it runs
+    // under any deterministic policy, the explorer's delay-bounded one
+    // included, not only a seeded one.
+    let spec = det_matrix(2, 12)
+        .into_iter()
+        .find(|s| s.name == "det-server-kv-snzi")
+        .expect("the det matrix has a server-kv case");
+    let opts = ExploreOptions {
+        budget: 64,
+        ..ExploreOptions::default()
+    };
+    let report = explore(&spec, BASE_SEED, &opts);
+    assert!(
+        report.violation.is_none(),
+        "the service under delay-bounded schedules: {:?}",
+        report.violation
+    );
+    assert_eq!(report.schedules_run, 64);
 }

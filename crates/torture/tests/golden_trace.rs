@@ -35,9 +35,7 @@ fn golden_spec() -> TortureSpec {
         name: "det-golden-smoke".into(),
         lock: LockKind::Sprwl(SprwlConfig::default()),
         htm: HtmConfig {
-            scheduler: SchedulerKind::Deterministic {
-                schedule_seed: 0x601D_5EED,
-            },
+            scheduler: SchedulerKind::deterministic(0x601D_5EED),
             ..HtmConfig::default()
         },
         threads: 2,

@@ -11,7 +11,7 @@ fn spec() -> TortureSpec {
         name: "lin-budget-contract".into(),
         lock: LockKind::Sprwl(sprwl::SprwlConfig::default()),
         htm: HtmConfig {
-            scheduler: SchedulerKind::Deterministic { schedule_seed: 0 },
+            scheduler: SchedulerKind::deterministic(0),
             sched_shake_prob: 0.0,
             ..HtmConfig::default()
         },

@@ -27,7 +27,7 @@ fn det_spec(schedule_seed: u64, workload: Workload, writer_span: usize) -> Tortu
         },
         lock: LockKind::Sprwl(SprwlConfig::default()),
         htm: HtmConfig {
-            scheduler: SchedulerKind::Deterministic { schedule_seed },
+            scheduler: SchedulerKind::deterministic(schedule_seed),
             ..HtmConfig::default()
         },
         threads: 3,

@@ -90,13 +90,29 @@ echo "==> deterministic torture smoke (serialized scheduler, incl. mid-run threa
 cargo run -q --release --offline -p sprwl-torture -- --det --threads 2 --ops 100
 
 echo "==> torture usage smoke (bad input exits 2, never a panic or a vacuous pass)"
+printf 'not a frontier\n' > target/garbage.frontier
 for bad in "--threads abc" "--threads 0" "--threads 1024" "--ops 0" \
-    "--filter no-such-case" "explore --inject-bug --budget many"; do
+    "--filter no-such-case" "explore --inject-bug --budget many" \
+    "explore --case det-tle --budget 0" "explore --case det-tle --random 0" \
+    "explore --case det-tle --frontier target/garbage.frontier"; do
     rc=0
     # shellcheck disable=SC2086 # each case is a word-split argument list
     cargo run -q --release --offline -p sprwl-torture -- $bad > /dev/null 2>&1 || rc=$?
     if [ "$rc" -ne 2 ]; then
         echo "torture $bad: expected exit 2 (usage error), got $rc" >&2
+        exit 1
+    fi
+done
+rm -f target/garbage.frontier
+
+echo "==> bench-sweep usage smoke (a run that measures nothing exits 2)"
+for bad in "--wall --threads 1 --secs -1" "--det --threads 1 --ops 0"; do
+    rc=0
+    # shellcheck disable=SC2086 # each case is a word-split argument list
+    cargo run -q --release --offline -p sprwl-bench --bin bench-sweep -- $bad \
+        --out target/bench-usage-smoke > /dev/null 2>&1 || rc=$?
+    if [ "$rc" -ne 2 ]; then
+        echo "bench-sweep $bad: expected exit 2 (usage error), got $rc" >&2
         exit 1
     fi
 done
@@ -155,6 +171,16 @@ if [ "$rc" -ne 2 ]; then
     echo "lincheck budget smoke: expected exit 2 (unknown), got $rc" >&2
     exit 1
 fi
+# So must a capture with no operations in it: nothing checked is no pass.
+: > target/empty-capture.jsonl
+rc=0
+cargo run -q --release --offline -p sprwl-lincheck -- target/empty-capture.jsonl \
+    > /dev/null 2>&1 || rc=$?
+if [ "$rc" -ne 2 ]; then
+    echo "lincheck empty-capture smoke: expected exit 2 (unknown), got $rc" >&2
+    exit 1
+fi
+rm -f target/empty-capture.jsonl
 
 echo "==> explore smoke (injected bug found by schedule search, then replayed bit-exactly)"
 # The weakened commit-time reader check must be caught within a bounded
@@ -167,6 +193,9 @@ SCHEDULE=$(printf '%s\n' "$EXPLORE_OUT" | sed -n 's/^schedule: //p')
 test -s "$SCHEDULE"
 cargo run -q --release --offline -p sprwl-torture -- explore \
     --replay-schedule "$SCHEDULE"
+# The sharded-KV service runs under delay-bounded schedules too.
+cargo run -q --release --offline -p sprwl-torture -- explore \
+    --case det-server-kv-snzi --budget 64
 
 echo "==> diff_traces smoke (identical -> 0, divergence -> 1)"
 python3 scripts/diff_traces.py "$LIN_GOLDEN" "$LIN_GOLDEN" > /dev/null

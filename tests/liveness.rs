@@ -136,7 +136,7 @@ fn writer_htm_commits(scheduling: Scheduling, schedule_seed: u64) -> u64 {
         HtmConfig {
             max_threads: READERS + 1,
             capacity: CapacityProfile::POWER8_SIM,
-            scheduler: SchedulerKind::Deterministic { schedule_seed },
+            scheduler: SchedulerKind::deterministic(schedule_seed),
             ..HtmConfig::default()
         },
         64 * 1024,
